@@ -11,6 +11,10 @@
      {!Xmark_store.Updates.Update_error}.  Recovery that depends on
      anything but the log bytes and the base would make
      crash-restart-crash diverge from a single restart.
+   - After every applied record, the store patched incrementally from
+     the previous one answers Q1-Q20 and a set of parent-sensitive
+     probes exactly like a store rebuilt from a deep copy of the same
+     version.
 
    Bases are pristine logs of randomized (mostly valid) auction-site
    operations against a tiny fixed site document, built through the real
@@ -22,6 +26,7 @@ module Crc32 = Xmark_persist.Crc32
 module Log = Xmark_wal.Log
 module Record = Xmark_wal.Record
 module Updates = Xmark_store.Updates
+module MM = Xmark_store.Backend_mainmem
 
 (* The base document recovery replays against: three persons, three open
    auctions (each with a bidder, so close_auction can succeed), empty
@@ -88,22 +93,44 @@ let gen_op g =
           increase = float_of_int (1 + Prng.int_in g 0 39) /. 2.0;
           date = "07/31/2002"; time = "12:00:00" }
 
+(* Digest of what a store answers: Q1-Q20, probes whose answers hang
+   on parent pointers shared across versions, and the store's sizes. *)
+let probes =
+  [ "//bidder/.."; "//current/parent::open_auction"; {|/site/people/person[@id="person0"]|};
+    "/site/closed_auctions/closed_auction" ]
+
+let answers store =
+  let module Runner = Xmark_core.Runner in
+  let s = Runner.adopt_mainmem store in
+  List.init 20 (fun i -> Runner.canonical (Runner.run_session s (i + 1)))
+  @ List.map (fun q -> Runner.canonical (Runner.run_text_session s q)) probes
+  @ [ Printf.sprintf "%d %d" (MM.node_count store) (MM.size_bytes store) ]
+  |> String.concat "\x00" |> Digest.string
+
 (* One deterministic replay pass: apply the recovered records to a fresh
    session over [base_doc], stopping at the first typed rejection.
-   Returns (tree digest, applied count, rejection). *)
-let replay records =
+   Returns (tree digest, applied count, rejection).  With [differential],
+   also checks the patched store against a rebuild after every record
+   and returns the first record after which they disagree. *)
+let replay ?(differential = false) records =
   let session = Updates.of_string base_doc in
+  if differential then ignore (Updates.store session);
   let applied = ref 0 in
-  let rejection = ref None in
+  let rejection = ref None and diverged = ref None in
   (try
      List.iter
        (fun r ->
          ignore (Record.apply session r.Record.op);
-         incr applied)
+         incr applied;
+         if differential && !diverged = None then
+           let rebuilt =
+             MM.create ~level:(Updates.level session) (Xmark_xml.Dom.deep_copy (Updates.root session))
+           in
+           if answers (Updates.store session) <> answers rebuilt then diverged := Some !applied)
        records
    with Updates.Update_error f -> rejection := Some (Updates.fault_to_string f));
   let bytes = Xmark_xml.Serialize.to_string (Updates.root session) in
-  (Digest.to_hex (Digest.string bytes), !applied, !rejection)
+  ((Digest.to_hex (Digest.string bytes), !applied, !rejection), !diverged)
 
 (* The stand-alone contract — also what {!Corpus} replays for [.wal]
    files. *)
@@ -112,11 +139,13 @@ let contract bytes =
   | exception Xmark_persist.Corrupt _ -> Ok "corrupt"
   | exception e -> Error ("Log.scan_string raised " ^ Printexc.to_string e)
   | recovery -> (
-      match (replay recovery.Log.records, replay recovery.Log.records) with
+      match (replay ~differential:true recovery.Log.records, replay recovery.Log.records) with
       | exception e -> Error ("replay raised " ^ Printexc.to_string e)
-      | a, b when a <> b ->
+      | (a, _), (b, _) when a <> b ->
           Error "recovered records replayed to different states"
-      | (_, _, rejection), _ ->
+      | (_, Some k), _ ->
+          Error (Printf.sprintf "patched store disagrees with a rebuild after record %d" k)
+      | ((_, _, rejection), None), _ ->
           let shape =
             if recovery.Log.truncated_bytes > 0 then "torn" else "clean"
           in

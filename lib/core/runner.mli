@@ -70,8 +70,8 @@ val save_snapshot : ?pool:Xmark_parallel.pool -> session -> string -> unit
 val adopt_mainmem : Xmark_store.Backend_mainmem.t -> session
 (** Wrap an already-built main-memory store as a session (system D, E or
     F by the store's level, zero load time).  This is how the write
-    path publishes: the writer rebuilds a store from its private tree
-    and adopts it as the next immutable epoch. *)
+    path publishes: the writer adopts its master's store, patched from
+    the previous epoch's, as the next immutable epoch. *)
 
 type outcome = {
   compile : Timing.span;

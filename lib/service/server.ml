@@ -13,9 +13,10 @@ module Stats = Xmark_stats
    snapshot isolation by construction, no read locks anywhere.
 
    Writes (servers created with [create_writable]): serialized through
-   [write_lock]; each commit applies to the writer's private tree,
-   appends + fsyncs the WAL record, then publishes a freshly built
-   immutable session as the next epoch via one atomic store.  The plan
+   [write_lock]; each commit applies to the writer's master (a new
+   path-copied version; no version is ever mutated), appends + fsyncs
+   the WAL record, then publishes the immutable session patched from
+   the previous epoch's as the next epoch via one atomic store.  The plan
    cache is per-epoch — prepared plans are bound to the store they were
    compiled against, so reusing them across epochs would answer from
    the wrong store.  A retiring epoch's cache stats are folded into
@@ -367,8 +368,9 @@ let commit_update ?deadline_ms t w u =
       end
       else begin
         (* [Mutex.protect] so the write lock survives anything the body
-           raises — [Writer.publish] deep-copies and reindexes the whole
-           tree (it can run out of memory), and [Writer.commit] may leak
+           raises — a commit that relabels deep-copies and reindexes the
+           whole tree and the next [Writer.publish] rebuilds the store
+           (either can run out of memory), and [Writer.commit] may leak
            an exception [Updates] does not own.  The exception arm below
            releases the admission slot for the same reason: a failed
            commit must never wedge the write path. *)

@@ -9,7 +9,10 @@ module Log = Xmark_wal.Log
 module Replay = Xmark_wal.Replay
 
 type t = {
-  master : Updates.session;  (* the only mutable tree; never escapes *)
+  master : Updates.session;
+      (* persistent versions: a commit path-copies the spine it touches
+         and the published store shares every other subtree, so readers
+         holding an older epoch never see the master move *)
   base : string;  (* path of the base snapshot under the wal dir *)
   log_path : string;
   mutable log : Log.t;  (* replaced wholesale by [checkpoint] *)
@@ -115,11 +118,7 @@ let commit t u =
                   t.poisoned <- Some msg;
                   Error (Protocol.Failed ("wal append failed: " ^ msg)))))
 
-let publish t =
-  let root = Dom.deep_copy (Updates.root t.master) in
-  ignore (Dom.index root);
-  let store = Xmark_store.Backend_mainmem.create ~level:(Updates.level t.master) root in
-  Runner.adopt_mainmem store
+let publish t = Runner.adopt_mainmem (Updates.store t.master)
 
 let last_lsn t = Log.last_lsn t.log
 

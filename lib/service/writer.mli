@@ -1,13 +1,14 @@
-(** The single writer: one private mutable tree, a WAL, and epoch
-    publication.
+(** The single writer: one master session of persistent document
+    versions, a WAL, and epoch publication.
 
-    A writer owns the only mutable copy of the document — an
-    {!Xmark_store.Updates.session} reconstructed from the base snapshot
-    (plus WAL replay on reopen), never shared with readers.  Each
-    {!commit} validates and applies one update to that tree, then
-    appends the record to the log and fsyncs before acknowledging.
-    {!publish} turns the tree into a fresh {e immutable} store (deep
-    copy, reindex, rebuild) for the server to install as the next
+    A writer owns the master {!Xmark_store.Updates.session},
+    reconstructed from the base snapshot (plus WAL replay on reopen).
+    Each {!commit} validates and applies one update to it, then appends
+    the record to the log and fsyncs before acknowledging.  An update
+    never mutates a node an earlier version can reach: it path-copies
+    the spine down to the entity it touches.  {!publish} adopts the
+    master's current store, patched from the previous epoch's in time
+    proportional to the change, for the server to install as the next
     epoch — in-flight readers keep the store they started with, which
     is the whole isolation story.
 
@@ -53,9 +54,11 @@ val commit : t -> Protocol.update -> (int * string option, Protocol.error) resul
     Not thread-safe: the server serializes commits. *)
 
 val publish : t -> Xmark_core.Runner.session
-(** Build a fresh immutable session from the current tree.  Expensive
-    (full deep copy + reindex + store build) and called once per
-    commit — the price of giving readers plain immutable stores. *)
+(** The immutable session of the current version.  Called once per
+    commit, it costs what the commits since the last publish changed: a
+    patch of the previous store, not a rebuild.  Only the first publish
+    after opening, or after a commit that relabelled the document
+    ({!Xmark_store.Updates}), builds the store from scratch. *)
 
 val last_lsn : t -> int
 (** LSN of the last durable record; [0] for a fresh log.  Doubles as

@@ -211,6 +211,7 @@ let counter_inventory =
     "plan_cache_hits"; "plan_cache_misses";
     "service_requests"; "service_rejections"; "service_timeouts";
     "wal_appends"; "wal_bytes"; "wal_records_replayed";
+    "publish_relabels"; "publish_nodes_built";
     "shards_queried"; "partials_merged"; "broadcast_bytes";
     "gc_minor_words"; "gc_major_words"; "gc_major_collections";
   ]

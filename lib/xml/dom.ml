@@ -2,6 +2,7 @@ type node = {
   mutable desc : desc;
   mutable parent : node option;
   mutable order : int;
+  mutable hi : int;
 }
 
 and desc =
@@ -15,13 +16,13 @@ and element = {
 }
 
 let element_sym ?(attrs = []) ?(children = []) name =
-  let n = { desc = Element { name; attrs; children }; parent = None; order = -1 } in
+  let n = { desc = Element { name; attrs; children }; parent = None; order = -1; hi = -1 } in
   List.iter (fun c -> c.parent <- Some n) children;
   n
 
 let element ?attrs ?children name = element_sym ?attrs ?children (Symbol.intern name)
 
-let text data = { desc = Text data; parent = None; order = -1 }
+let text data = { desc = Text data; parent = None; order = -1; hi = -1 }
 
 let append parent child =
   match parent.desc with
@@ -30,16 +31,26 @@ let append parent child =
       child.parent <- Some parent
   | Text _ -> invalid_arg "Dom.append: text node cannot have children"
 
-let rec number counter n =
+let order_gap = 1 lsl 16
+
+(* Pre-order numbering [step] apart; [hi] is one past the subtree's last
+   key, so the [step - 1] keys after it stay free for later inserts. *)
+let rec number ~step counter n =
   n.order <- !counter;
-  incr counter;
-  match n.desc with
+  counter := !counter + step;
+  (match n.desc with
   | Text _ -> ()
-  | Element e -> List.iter (number counter) e.children
+  | Element e -> List.iter (number ~step counter) e.children);
+  n.hi <- !counter - step + 1
 
 let index root =
   let counter = ref 0 in
-  number counter root;
+  number ~step:order_gap counter root;
+  !counter / order_gap
+
+let number_from n lo =
+  let counter = ref lo in
+  number ~step:1 counter n;
   !counter
 
 let order_exn n =

@@ -4,7 +4,13 @@
     attributes and character data only — no namespaces, entities, notations
     or processing instructions.  Attributes are unordered name/value pairs
     attached to elements; element and text nodes carry a document-order
-    number assigned by {!index}.
+    key assigned by {!index}.
+
+    Keys are {e gapped}: {!index} spaces consecutive nodes {!order_gap}
+    apart, so a subtree inserted later can take keys between its
+    neighbours without renumbering anything else.  Nothing may assume
+    keys are dense: they are unique and increase in document order, and
+    [\[order, hi)] holds exactly the keys of a node's subtree.
 
     Element names are interned {!Symbol.t} values: name tests are integer
     comparisons and a tree holds one boxed string less per element.  The
@@ -14,7 +20,8 @@
 type node = {
   mutable desc : desc;
   mutable parent : node option;
-  mutable order : int;  (** document order; [-1] until {!index} runs *)
+  mutable order : int;  (** document-order key; [-1] until {!index} runs *)
+  mutable hi : int;  (** exclusive upper bound of the subtree's keys *)
 }
 
 and desc =
@@ -42,12 +49,22 @@ val append : node -> node -> unit
 (** [append parent child] adds [child] as last child of [parent].
     @raise Invalid_argument if [parent] is a text node. *)
 
+val order_gap : int
+(** Distance between the keys {!index} gives consecutive nodes: 2{^16},
+    which keeps a factor-10 document far below [max_int]. *)
+
 val index : node -> int
-(** [index root] numbers the subtree in document order starting at 0 and
-    returns the number of nodes. *)
+(** [index root] keys the subtree in document order, the [i]-th node
+    getting [i * order_gap], sets every [hi], and returns the number of
+    nodes. *)
+
+val number_from : node -> int -> int
+(** [number_from n lo] keys a fresh subtree with consecutive keys from
+    [lo] in document order, sets every [hi], and returns the next free
+    key. *)
 
 val order_exn : node -> int
-(** The node's document-order number.
+(** The node's document-order key.
     @raise Invalid_argument with message ["Dom.index not run"] if the
     node has not been numbered — order-dependent operations must fail
     loudly rather than silently misorder on the [-1] placeholder. *)
@@ -90,7 +107,7 @@ val find_element : node -> string -> node option
 (** First descendant-or-self element with the given tag. *)
 
 val deep_copy : node -> node
-(** Structural copy with fresh parent links and unset orders. *)
+(** Structural copy with fresh parent links and unset keys. *)
 
 val equal : node -> node -> bool
 (** Structural equality: same tags, same attribute sets (order

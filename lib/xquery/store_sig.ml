@@ -54,7 +54,8 @@ module type S = sig
   val attribute : t -> node -> string -> string option
 
   val order : t -> node -> int
-  (** Document-order rank; unique per node within a store. *)
+  (** Document-order key: unique per node within a store and increasing
+      in document order, but not necessarily dense. *)
 
   val string_value : t -> node -> string
   (** Concatenated descendant text. *)

@@ -121,21 +121,58 @@ let test_tag_extents () =
       | None -> Alcotest.fail "shredded always knows tag counts")
     [ "item"; "person" ]
 
+(* Keys are gapped, so nothing may assume [root high = node_count]:
+   check the interval contract itself.  Every key lies in the root's
+   interval, and for sampled pairs [d] is inside [n]'s interval iff [d]
+   is a descendant-or-self of [n] — ancestry taken from a walk down the
+   children, and [parent] checked against it. *)
+let check_intervals m =
+  let interval n =
+    match MM.subtree_interval m n with
+    | Some i -> i
+    | None -> Alcotest.fail "full level should have intervals"
+  in
+  let all = ref [] in
+  let rec walk anc n =
+    all := (n, anc) :: !all;
+    List.iter (walk (n :: anc)) (MM.children m n)
+  in
+  walk [] (MM.root m);
+  let nodes = Array.of_list !all in
+  let rlo, rhi = interval (MM.root m) in
+  Array.iter
+    (fun (n, anc) ->
+      let o = MM.order m n in
+      if not (rlo <= o && o < rhi) then Alcotest.failf "key %d outside the root [%d, %d)" o rlo rhi;
+      match (anc, MM.parent m n) with
+      | p :: _, Some p' when p == p' -> ()
+      | [], None -> ()
+      | _ -> Alcotest.failf "parent of the node keyed %d is not the node above it %s %s" o (Dom.name n) (match MM.parent m n with Some p -> Dom.name p ^ string_of_int p.Dom.order | None -> "none"))
+    nodes;
+  let rng = Xmark_prng.Prng.create ~seed:3L () in
+  let pick a = a.(Xmark_prng.Prng.int rng (Array.length a)) in
+  for _ = 1 to 5000 do
+    let d, anc = pick nodes in
+    (* half the pairs draw [n] among [d]'s ancestors *)
+    let n = if anc <> [] && Xmark_prng.Prng.int rng 2 = 0 then pick (Array.of_list anc) else fst (pick nodes) in
+    let lo, hi = interval n in
+    let o = MM.order m d in
+    Alcotest.(check bool) "inside the interval iff descendant-or-self"
+      (n == d || List.memq n anc) (lo <= o && o < hi)
+  done
+
 let test_subtree_intervals () =
-  let m = MM.of_string ~level:`Full (Lazy.force doc) in
-  let root = MM.root m in
-  (* interval of root covers all node orders *)
-  (match MM.subtree_interval m root with
-  | Some (lo, hi) ->
-      Alcotest.(check int) "root low" 0 lo;
-      Alcotest.(check int) "root high" (MM.node_count m) hi
-  | None -> Alcotest.fail "full level should have intervals");
-  (* a descendant's interval nests within its parent's *)
-  let kid = List.hd (MM.children m root) in
-  match (MM.subtree_interval m root, MM.subtree_interval m kid) with
-  | Some (rlo, rhi), Some (klo, khi) ->
-      Alcotest.(check bool) "nested" true (klo > rlo && khi <= rhi)
-  | _ -> Alcotest.fail "intervals missing"
+  check_intervals (MM.of_string ~level:`Full (Lazy.force doc));
+  (* and on a store patched by path-copying updates *)
+  let module U = Xmark_store.Updates in
+  let s = U.of_string (Lazy.force doc) in
+  ignore (U.store s);
+  ignore (U.register_person s ~name:"N" ~email:"mailto:n@example.org");
+  U.place_bid s ~auction:"open_auction0" ~person:"person1" ~increase:1.5 ~date:"d" ~time:"t";
+  ignore (U.store s);
+  U.place_bid s ~auction:"open_auction0" ~person:"person2" ~increase:2.5 ~date:"d" ~time:"t";
+  U.close_auction s ~auction:"open_auction1" ~date:"d" |> ignore;
+  check_intervals (U.store s)
 
 let test_sizes_positive () =
   let text = Lazy.force doc in

@@ -222,6 +222,127 @@ let test_summary_reflects_updates () =
   in
   Alcotest.(check int) "summary sees the new person" (before + 1) after
 
+(* --- incremental publish: patched stores against rebuilds --------------------- *)
+
+module Runner = Xmark_core.Runner
+module Prng = Xmark_prng.Prng
+module Stats = Xmark_stats
+
+let doc_01 = lazy (Xmark_xmlgen.Generator.to_string ~factor:0.01 ())
+
+(* parent-sensitive probes: shared children name a replaced parent *)
+let probes =
+  [ "//bidder/.."; "//current/parent::open_auction"; {|/site/people/person[@id="person0"]|} ]
+
+let answers ?(queries = List.init 20 succ) store =
+  let s = Runner.adopt_mainmem store in
+  let digest o = Digest.to_hex (Digest.string (Runner.canonical o)) in
+  List.map (fun q -> Printf.sprintf "Q%d %s" q (digest (Runner.run_session s q))) queries
+  @ List.map (fun q -> q ^ " " ^ digest (Runner.run_text_session s q)) probes
+  @ [ Printf.sprintf "nodes %d bytes %d" (MM.node_count store) (MM.size_bytes store) ]
+
+let rebuilt s = MM.create ~level:(Updates.level s) (Dom.deep_copy (Updates.root s))
+
+let with_stats f =
+  let was = Stats.enabled () in
+  Stats.enable ();
+  Fun.protect ~finally:(fun () -> Stats.set_enabled was) f
+
+(* One seeded update: bids dominate, ids are drawn a little past the
+   document's id space so some updates are typed rejections. *)
+let random_update rng s i =
+  let auction () = Printf.sprintf "open_auction%d" (Prng.int rng 130) in
+  let person () = Printf.sprintf "person%d" (Prng.int rng 270) in
+  match Prng.int rng 10 with
+  | 0 | 1 ->
+      ignore
+        (Updates.register_person s ~name:(Printf.sprintf "P %d" i)
+           ~email:(Printf.sprintf "mailto:p%d@example.org" i))
+  | 2 -> Updates.close_auction s ~auction:(auction ()) ~date:"07/31/2002"
+  | _ ->
+      Updates.place_bid s ~auction:(auction ()) ~person:(person ())
+        ~increase:(float_of_int (1 + Prng.int rng 40) /. 2.0) ~date:"07/31/2002" ~time:"12:00:00"
+
+(* System D checks Q1-Q20 after every update.  E and F, whose patched
+   state is the ID overlay, the parent map and the counts, check the
+   probes and five cheap queries after every update and all twenty every
+   25th: without extents their joins Q8-Q12 take ~100 ms each here. *)
+let epoch_differential level () =
+  let s = Updates.of_string ~level (Lazy.force doc_01) in
+  let pinned = Updates.store s in
+  let at_start = answers pinned in
+  let rng = Prng.create ~seed:14L () in
+  let rejected = ref 0 in
+  with_stats @@ fun () ->
+  let relabels = Stats.total "publish_relabels" in
+  for i = 1 to 200 do
+    (try random_update rng s i with Updates.Update_error _ -> incr rejected);
+    let queries =
+      if level = `Full || i mod 25 = 0 then List.init 20 succ else [ 1; 2; 5; 17; 20 ]
+    in
+    Alcotest.(check (list string)) (Printf.sprintf "update %d" i)
+      (answers ~queries (rebuilt s)) (answers ~queries (Updates.store s))
+  done;
+  Alcotest.(check bool) "some updates were rejected" true (!rejected > 0);
+  Alcotest.(check bool) "most updates applied" true (!rejected < 100);
+  Alcotest.(check int) "no relabel" relabels (Stats.total "publish_relabels");
+  Alcotest.(check (list string)) "a store pinned before the updates" at_start (answers pinned);
+  (* WAL replay's shape: every update applied before the first store, so
+     the full build meets parent pointers left behind by path copies *)
+  let replayed = Updates.of_string ~level (Lazy.force doc_01) in
+  let rng = Prng.create ~seed:14L () in
+  for i = 1 to 200 do
+    try random_update rng replayed i with Updates.Update_error _ -> ()
+  done;
+  Alcotest.(check (list string)) "updates replayed before the first store"
+    (answers (Updates.store s)) (answers (Updates.store replayed))
+
+let test_bid_builds_little () =
+  let s = Updates.of_string (Lazy.force doc_01) in
+  ignore (Updates.store s);
+  with_stats (fun () ->
+      let built0 = Stats.total "publish_nodes_built" in
+      Updates.place_bid s ~auction:"open_auction0" ~person:"person1" ~increase:2.5
+        ~date:"07/31/2002" ~time:"12:00:00";
+      ignore (Updates.store s);
+      let built = Stats.total "publish_nodes_built" - built0 in
+      Alcotest.(check bool) (Printf.sprintf "%d nodes built" built) true (built > 0 && built < 100))
+
+let test_rejection_leaves_no_trace () =
+  let s = Updates.of_string (Lazy.force doc_01) in
+  let root = Updates.root s and store = Updates.store s in
+  (match Updates.place_bid s ~auction:"open_auction0" ~person:"nobody" ~increase:1.0 ~date:"d" ~time:"t" with
+  | exception Updates.Update_error (Updates.Unknown_person _) -> ()
+  | _ -> Alcotest.fail "expected Unknown_person");
+  Alcotest.(check bool) "root pointer unmoved" true (Updates.root s == root);
+  Alcotest.(check bool) "nothing pending" false (Updates.pending s);
+  Alcotest.(check bool) "same store" true (Updates.store s == store)
+
+(* The free range after the last person is [Dom.order_gap - 1] keys and
+   a registered person (person, name, text, emailaddress, text) takes 5:
+   that many registrations fit, the next one relabels. *)
+let test_relabel () =
+  let s = Updates.of_string (Lazy.force doc_01) in
+  ignore (Updates.store s);
+  let fit = (Dom.order_gap - 1) / 5 in
+  let register i = ignore (Updates.register_person s ~name:"R" ~email:(string_of_int i)) in
+  with_stats (fun () ->
+      let relabels0 = Stats.total "publish_relabels" in
+      for i = 1 to fit do
+        register i;
+        if i mod 1000 = 0 then ignore (Updates.store s)
+      done;
+      ignore (Updates.store s);
+      Alcotest.(check int) "no relabel while the gap lasts" relabels0 (Stats.total "publish_relabels");
+      register (fit + 1);
+      Alcotest.(check int) "one relabel" (relabels0 + 1) (Stats.total "publish_relabels"));
+  Alcotest.(check (list string)) "relabelled store agrees with a rebuild"
+    (answers (rebuilt s)) (answers (Updates.store s));
+  Updates.place_bid s ~auction:"open_auction0" ~person:"person1" ~increase:1.0 ~date:"d" ~time:"t";
+  let queries = [ 1; 2; 5 ] in
+  Alcotest.(check (list string)) "patching resumes after a relabel"
+    (answers ~queries (rebuilt s)) (answers ~queries (Updates.store s))
+
 let () =
   Alcotest.run "summary-updates"
     [
@@ -244,5 +365,14 @@ let () =
           Alcotest.test_case "backends agree after updates" `Quick
             test_updated_document_still_agrees_across_backends;
           Alcotest.test_case "summary reflects updates" `Quick test_summary_reflects_updates;
+        ] );
+      ( "incremental publish",
+        [
+          Alcotest.test_case "epoch differential D" `Slow (epoch_differential `Full);
+          Alcotest.test_case "epoch differential E" `Slow (epoch_differential `Id_only);
+          Alcotest.test_case "epoch differential F" `Slow (epoch_differential `Plain);
+          Alcotest.test_case "bid builds O(change)" `Quick test_bid_builds_little;
+          Alcotest.test_case "rejection leaves no trace" `Quick test_rejection_leaves_no_trace;
+          Alcotest.test_case "relabel when a gap runs out" `Slow test_relabel;
         ] );
     ]
