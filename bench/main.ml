@@ -67,7 +67,7 @@ let micro_tests () =
       bench_query Runner.A store_a 6;
       bench_query Runner.C store_c 8;
       bench_query Runner.D store_d 8;
-      (* substrate kernels: ordered index, pipelined join, path compilers *)
+      (* substrate kernel: the ordered index *)
       Test.make ~name:"btree-range-scan"
         (Staged.stage
            (let tree = Xmark_relational.Btree.create () in
@@ -82,20 +82,6 @@ let micro_tests () =
                    ~lower:(Xmark_relational.Value.Num 100.0, true)
                    ~upper:(Xmark_relational.Value.Num 110.0, false)
                    tree)));
-      Test.make ~name:"pathcompile-A-person"
-        (Staged.stage
-           (let store =
-              Xmark_store.Backend_heap.load_string (Lazy.force doc)
-            in
-            let steps =
-              match Xmark_xquery.Parser.parse_expr "/site/people/person" with
-              | Xmark_xquery.Ast.Path (Xmark_xquery.Ast.Root, steps) -> steps
-              | _ -> assert false
-            in
-            fun () ->
-              ignore
-                (Xmark_store.Path_compiler.execute
-                   (Xmark_store.Path_compiler.compile store steps))));
       (* Figure 4 kernel: the embedded processor's per-query overhead *)
       Test.make ~name:"fig4-G-Q1"
         (Staged.stage

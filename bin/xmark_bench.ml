@@ -279,7 +279,7 @@ let run exhibit factor jobs no_vec stats_json bench_out bench_runs systems queri
     snapshot save shards =
   let module E = Xmark_core.Experiments in
   Cli.install_no_vec no_vec;
-  let pool = Cli.install_jobs jobs in
+  let pool = Cli.pool_of_jobs jobs in
   let source = Option.map (fun p -> `Snapshot p) snapshot in
   try
     match save with
@@ -313,8 +313,6 @@ let run exhibit factor jobs no_vec stats_json bench_out bench_runs systems queri
             | "genperf" -> ignore (E.genperf ()); 0
             | "scaling" -> ignore (E.scaling ()); 0
             | "fulltext" -> ignore (E.fulltext ~factor ()); 0
-            | "throughput" -> ignore (E.throughput ~factor ()); 0
-            | "workload" -> ignore (E.update_workload ~factor ()); 0
             | "matrix" ->
                 (* the deterministic digest goes to stdout: diffing a --jobs N
                    run against a --jobs 1 run is the parallel determinism
@@ -331,7 +329,7 @@ let run exhibit factor jobs no_vec stats_json bench_out bench_runs systems queri
             | "all" -> E.run_all ~factor (); 0
             | other ->
                 Printf.eprintf
-                  "unknown exhibit %S (table1|table2|table3|fig3|fig4|genperf|scaling|fulltext|throughput|workload|matrix|all)\n"
+                  "unknown exhibit %S (table1|table2|table3|fig3|fig4|genperf|scaling|fulltext|matrix|all)\n"
                   other;
                 2)))
   with
@@ -350,8 +348,8 @@ let run exhibit factor jobs no_vec stats_json bench_out bench_runs systems queri
 let exhibit_arg =
   Arg.(value & pos 0 string "all"
        & info [] ~docv:"EXHIBIT"
-           ~doc:"table1, table2, table3, fig3, fig4, genperf, scaling, fulltext, throughput, \
-                 workload, matrix or all.")
+           ~doc:"table1, table2, table3, fig3, fig4, genperf, scaling, fulltext, matrix \
+                 or all.")
 
 let shards_arg =
   Arg.(

@@ -31,12 +31,10 @@
    nonzero if concurrency (or the wire, or the write path) ever changed
    an answer within an epoch.
 
-   No process-wide default pool is installed here: each local run owns
-   a private pool sized by --jobs (default: client count capped at the
-   hardware's recommended domain count), because the default pool's
-   deep consumers assume a single submitting domain while a server has
-   many.  Fleet workers execute requests inline on their connection
-   threads — fleet scaling comes from processes, not domains. *)
+   Each local run owns a private pool sized by --jobs (default: client
+   count capped at the hardware's recommended domain count).  Fleet
+   workers execute requests inline on their connection threads — fleet
+   scaling comes from processes, not domains. *)
 
 open Cmdliner
 module Cli = Xmark_core.Cli

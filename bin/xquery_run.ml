@@ -35,7 +35,7 @@ let run doc_file snapshot save_snapshot factor system query query_file query_num
     canonical_out warn summary explain no_vec jobs =
   if explain then Xmark_core.Stats.enable ();
   Cli.install_no_vec no_vec;
-  let pool = Cli.install_jobs jobs in
+  let pool = Cli.pool_of_jobs jobs in
   let source, doc =
     match snapshot with
     | Some path -> (`Snapshot path, None)

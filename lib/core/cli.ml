@@ -304,6 +304,4 @@ let shards =
            answer against the single-store digest.  0 (default) disables \
            sharding.")
 
-let install_jobs n =
-  Xmark_parallel.set_default_jobs n;
-  Xmark_parallel.default ()
+let pool_of_jobs n = if n > 1 then Some (Xmark_parallel.create ~jobs:n) else None

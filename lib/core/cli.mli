@@ -109,10 +109,9 @@ val shards : int Cmdliner.Term.t
 
 (* --- wiring --------------------------------------------------------------- *)
 
-val install_jobs : int -> Xmark_parallel.pool option
-(** Install the process-wide default pool for [--jobs n] (see
-    {!Xmark_parallel.set_default_jobs}) and return it; [None] when [n <=
-    1], meaning sequential execution everywhere. *)
+val pool_of_jobs : int -> Xmark_parallel.pool option
+(** A pool of [n] slots for [--jobs n]; [None] when [n <= 1], meaning
+    sequential execution everywhere. *)
 
 val install_no_vec : bool -> unit
 (** Apply [--no-vec]: when true, switch

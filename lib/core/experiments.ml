@@ -391,99 +391,6 @@ let fulltext ?(factor = default_factor) ?(words = [ "gold"; "silver"; "king" ]) 
   pr "\n";
   rows
 
-(* --- throughput: the XMach-1-style measurement (related work, Section 3) --- *)
-
-(* The paper contrasts XMark with XMach-1, whose "goal ... is to test how
-   many queries per second a database can process".  This exhibit provides
-   that complementary view over the XMark workload: a fixed mix of lookup,
-   aggregation and join queries replayed for a wall-clock budget. *)
-let throughput_mix = [ 1; 1; 1; 5; 6; 17; 20; 2; 8 ]
-
-let throughput ?(factor = default_factor) ?(budget_s = 1.0)
-    ?(systems = [ Runner.A; Runner.B; Runner.C; Runner.D; Runner.E; Runner.F ]) () =
-  pr "== Throughput: queries per second over a fixed mix (XMach-1's metric) ==\n";
-  pr "   mix: %s; budget %.1f s per system; factor %g\n\n"
-    (String.concat " " (List.map (Printf.sprintf "Q%d") throughput_mix))
-    budget_s factor;
-  let doc = document factor in
-  pr "%-9s %14s %14s\n" "System" "queries/s" "mean ms/query";
-  hr ();
-  let rows =
-    List.map
-      (fun sys ->
-        let store = load_store sys doc in
-        let t0 = Unix.gettimeofday () in
-        let deadline = t0 +. budget_s in
-        let completed = ref 0 in
-        (try
-           while Unix.gettimeofday () < deadline do
-             List.iter
-               (fun q ->
-                 ignore (Runner.run store q);
-                 incr completed;
-                 if Unix.gettimeofday () >= deadline then raise Exit)
-               throughput_mix
-           done
-         with Exit -> ());
-        let elapsed = Unix.gettimeofday () -. t0 in
-        let qps = float_of_int !completed /. elapsed in
-        pr "%-9s %14.1f %14.2f\n" (Runner.system_name sys) qps (1000.0 /. qps);
-        (sys, qps))
-      systems
-  in
-  pr "\n";
-  rows
-
-(* --- update workload: queries interleaved with writes (Section 8) ------------ *)
-
-let update_workload ?(factor = default_factor) ?(rounds = 5) () =
-  pr "== Update workload: reads interleaved with writes (Section 8's future work) ==\n";
-  pr "   each round: 1 registration + 2 bids + 1 auction close, then Q1/Q2/Q8;\n";
-  pr "   maintenance is bulkload-style (indexes rebuilt lazily before the next read)\n\n";
-  let module MM = Xmark_store.Backend_mainmem in
-  let module E = Xmark_xquery.Eval.Make (MM) in
-  let module U = Xmark_store.Updates in
-  let session = U.of_string (document factor) in
-  let first_open () =
-    match E.eval_string (U.store session) "/site/open_auctions/open_auction[1]/@id" with
-    | [ E.A a ] -> Some a.E.avalue
-    | _ -> None
-  in
-  pr "%-7s %14s %14s %16s\n" "Round" "writes (ms)" "rebuild (ms)" "queries (ms)";
-  hr ();
-  let rows =
-    List.init rounds (fun round ->
-        let _, wspan =
-          Timing.measure (fun () ->
-              let id =
-                U.register_person session
-                  ~name:(Printf.sprintf "Client %d" round)
-                  ~email:(Printf.sprintf "mailto:c%d@example.org" round)
-              in
-              match first_open () with
-              | Some auction ->
-                  U.place_bid session ~auction ~person:id ~increase:2.5 ~date:"06/07/2026"
-                    ~time:"10:00:00";
-                  U.place_bid session ~auction ~person:"person0" ~increase:3.0 ~date:"06/07/2026"
-                    ~time:"10:05:00";
-                  U.close_auction session ~auction ~date:"06/07/2026"
-              | None -> ())
-        in
-        (* first store access after mutations pays the rebuild *)
-        let _, rebuild = Timing.measure (fun () -> ignore (U.store session)) in
-        let _, qspan =
-          Timing.measure (fun () ->
-              List.iter
-                (fun q -> ignore (E.eval_string (U.store session) (Queries.text q)))
-                [ 1; 2; 8 ])
-        in
-        pr "%-7d %14.2f %14.2f %16.2f\n" (round + 1) wspan.Timing.wall_ms rebuild.Timing.wall_ms
-          qspan.Timing.wall_ms;
-        (round + 1, wspan.Timing.wall_ms, rebuild.Timing.wall_ms, qspan.Timing.wall_ms))
-  in
-  pr "\n";
-  rows
-
 (* --- per-system / per-query execution statistics (EXPLAIN ANALYZE) -------- *)
 
 type stats_cell = {
@@ -762,8 +669,6 @@ let run_all ?(factor = default_factor) () =
   let fig4_rows = fig4 () in
   ignore (scaling ());
   ignore (fulltext ~factor ());
-  ignore (throughput ~factor ());
-  ignore (update_workload ~factor ());
   (match Sys.getenv_opt "XMARK_CSV_DIR" with
   | None -> ()
   | Some dir ->

@@ -93,20 +93,6 @@ val fulltext :
   (string * float * float * float * float * int) list
 (** Per word: (word, D cold ms, D warm ms, F scan ms, contains ms, hits). *)
 
-val throughput_mix : int list
-
-val throughput :
-  ?factor:float ->
-  ?budget_s:float ->
-  ?systems:Runner.system list ->
-  unit ->
-  (Runner.system * float) list
-(** Queries per second over the fixed mix (XMach-1's metric). *)
-
-val update_workload :
-  ?factor:float -> ?rounds:int -> unit -> (int * float * float * float) list
-(** Per round: (round, write ms, index-rebuild ms, query ms). *)
-
 (* --- execution statistics (EXPLAIN ANALYZE) ---------------------------------- *)
 
 type stats_cell = {

@@ -488,12 +488,11 @@ let compile store number =
         let loc_col = R.Table.col_index item "location" in
         let name_col = R.Table.col_index item "name" in
         fun () ->
-          let rel = R.Plan.of_table item in
-          let sorted =
-            R.Plan.sort rel ~cmp:(fun a b ->
-                compare (vstr a.(loc_col)) (vstr b.(loc_col)))
-          in
-          Array.to_list sorted.R.Plan.rows
+          let sorted = Array.copy (R.Table.rows item) in
+          Array.stable_sort
+            (fun a b -> compare (vstr a.(loc_col)) (vstr b.(loc_col)))
+            sorted;
+          Array.to_list sorted
           |> List.map (fun row ->
                  elem
                    ~attrs:[ ("name", Option.value ~default:"" (vstr row.(name_col))) ]

@@ -96,16 +96,6 @@ let with_pool ~jobs f =
   let pool = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
-(* --- the process-wide default pool (configured by --jobs) ----------------- *)
-
-let default_pool : pool option ref = ref None
-
-let set_default_jobs n =
-  (match !default_pool with Some p -> shutdown p | None -> ());
-  default_pool := if n > 1 then Some (create ~jobs:n) else None
-
-let default () = !default_pool
-
 (* --- fork/join ------------------------------------------------------------ *)
 
 (* Split [n] items into at most [limit] contiguous chunks of
@@ -324,7 +314,3 @@ let map_array pool f xs =
   run_tasks pool (Array.map (fun x -> fun () -> f x) xs)
 
 let map pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
-
-let filter_array pool ?chunks pred xs =
-  let kept = map_chunks pool ?chunks (fun chunk -> Array.of_seq (Seq.filter pred (Array.to_seq chunk))) xs in
-  Array.concat (Array.to_list kept)

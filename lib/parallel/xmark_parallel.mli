@@ -1,7 +1,7 @@
 (** Fixed-size domain pool with deterministic fork/join.
 
     The multicore execution layer of the harness: the benchmark matrix,
-    chunked table scans and the partitioned parts of bulkload all
+    the partitioned parts of bulkload and the query service all
     schedule through this one primitive, so they inherit the same
     determinism contract — for any pool size, a parallel run returns the
     same values, raises the same exception, and leaves the same
@@ -38,18 +38,6 @@ val shutdown : pool -> unit
 val with_pool : jobs:int -> (pool -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
 
-(** {2 Process-wide default}
-
-    The CLIs' [--jobs N] installs a default pool that deep layers (the
-    relational scan operators) consult without threading a pool through
-    every call site. *)
-
-val set_default_jobs : int -> unit
-(** Install a default pool of [n] slots ([n <= 1] removes it, after
-    shutting the previous one down). *)
-
-val default : unit -> pool option
-
 (** {2 Fork/join} *)
 
 val map_chunks : pool -> ?chunks:int -> ('a array -> 'b) -> 'a array -> 'b array
@@ -66,9 +54,6 @@ val map_array : pool -> ('a -> 'b) -> 'a array -> 'b array
 
 val map : pool -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map_array}. *)
-
-val filter_array : pool -> ?chunks:int -> ('a -> bool) -> 'a array -> 'a array
-(** Chunked parallel filter; keeps input order. *)
 
 (** {2 Futures}
 

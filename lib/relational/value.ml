@@ -33,6 +33,4 @@ let to_string = function
 
 let of_float f = Num f
 
-let is_null = function Null -> true | Int _ | Num _ | Str _ -> false
-
 let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -20,6 +20,4 @@ val to_float : t -> float
 
 val of_float : float -> t
 
-val is_null : t -> bool
-
 val pp : Format.formatter -> t -> unit

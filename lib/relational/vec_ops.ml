@@ -285,25 +285,23 @@ let execute_from adapter ~poll plan input =
 
 let execute adapter ~poll plan = execute_from adapter ~poll plan [| adapter.root |]
 
-let string_of_test = function
-  | Star -> "*"
-  | Tag t -> Printf.sprintf "tag#%d" t
-
-let string_of_phys = function
-  | P_root test -> Printf.sprintf "root-test(%s)" (string_of_test test)
-  | P_whole_extent t -> Printf.sprintf "whole-extent(tag#%d)" t
+let string_of_phys ~tag_name phys =
+  let test = function Star -> "*" | Tag t -> tag_name t in
+  match phys with
+  | P_root t -> Printf.sprintf "root-test(%s)" (test t)
+  | P_whole_extent t -> Printf.sprintf "whole-extent(%s)" (tag_name t)
   | P_all_elements -> "all-elements"
-  | P_probe test -> Printf.sprintf "child-probe(%s)" (string_of_test test)
-  | P_semijoin t -> Printf.sprintf "hash-semijoin(tag#%d)" t
-  | P_interval test -> Printf.sprintf "interval-join(%s)" (string_of_test test)
-  | P_closure test -> Printf.sprintf "closure-walk(%s)" (string_of_test test)
+  | P_probe t -> Printf.sprintf "child-probe(%s)" (test t)
+  | P_semijoin t -> Printf.sprintf "hash-semijoin(%s)" (tag_name t)
+  | P_interval t -> Printf.sprintf "interval-join(%s)" (test t)
+  | P_closure t -> Printf.sprintf "closure-walk(%s)" (test t)
   | P_select pred -> Printf.sprintf "select[%s]" pred.sel_label
 
-let explain plan =
+let explain ~tag_name plan =
   List.mapi
     (fun i p ->
-      Printf.sprintf "step %d: %s  est %.0f -> %.0f  [%s]" (i + 1) (string_of_phys p.phys)
-        p.est_in p.est_out p.note)
+      Printf.sprintf "step %d: %s  est %.0f -> %.0f  [%s]" (i + 1)
+        (string_of_phys ~tag_name p.phys) p.est_in p.est_out p.note)
     plan
 
 (* --- helpers for adapter builders --- *)
@@ -331,6 +329,3 @@ let fold_rows_blocked ~poll ~row_count f init =
     off := !off + len
   done;
   !acc
-
-let iter_of_ids ids =
-  Iter.of_list (Array.to_list (Array.map (fun id -> [| Value.Int id |]) ids))

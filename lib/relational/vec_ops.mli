@@ -117,8 +117,9 @@ val execute_from : adapter -> poll:(unit -> unit) -> plan -> int array -> int ar
 (** Run a {!compile_from} plan over an explicit input id set (sorted
     ascending, duplicate-free). *)
 
-val explain : plan -> string list
-(** One line per step: operator, cost-model inputs, estimates. *)
+val explain : tag_name:(int -> string) -> plan -> string list
+(** One line per step: operator, cost-model inputs, estimates.
+    [tag_name] renders a tag id (the adapter's symbol) for display. *)
 
 (** {1 Helpers for adapter builders} *)
 
@@ -136,7 +137,3 @@ val fold_rows_blocked :
 (** Fold row indices [0 .. row_count-1] in blocks: batch counters and a
     [poll] per block, for table scans outside the path pipeline
     (System C's hand plans). *)
-
-val iter_of_ids : int array -> Iter.t
-(** Bridge a vectorized result into the pull-based scalar pipeline as
-    single-column [Int] rows. *)

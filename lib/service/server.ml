@@ -237,12 +237,15 @@ let release t disposition =
   Mutex.unlock t.lock
 
 (* The deadline check Eval polls: gettimeofday is ~20ns but polls fire
-   per node visited, so only look at the clock every 64th poll. *)
+   per node visited, so only look at the clock on the 1st, 65th, 129th...
+   poll.  Sampling the first poll matters: a vectorized plan polls once
+   per block, and a query with fewer than 64 blocks would otherwise never
+   see its deadline. *)
 let deadline_check ~t0 ~deadline =
   let polls = ref 0 in
   fun () ->
     incr polls;
-    if !polls land 63 = 0 then begin
+    if !polls land 63 = 1 then begin
       let now = Unix.gettimeofday () in
       if now > deadline then
         raise

@@ -456,7 +456,7 @@ module Make (S : Store_sig.S) = struct
     Hashtbl.fold
       (fun steps (plan, suffix) acc ->
         let lines =
-          Vec.explain plan
+          Vec.explain ~tag_name:(fun t -> Symbol.to_string (Symbol.of_int t)) plan
           @ List.map (fun s -> "scalar tail: " ^ render_step s) suffix
         in
         (String.concat "" (List.map render_step steps), lines) :: acc)

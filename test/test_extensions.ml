@@ -185,7 +185,7 @@ let test_fulltext_rows () =
       Alcotest.(check bool) "warm index is no slower than scan" true (warm <= scan)
   | _ -> Alcotest.fail "one row expected"
 
-(* --- verification, throughput, workload ------------------------------------- *)
+(* --- verification ------------------------------------------------------- *)
 
 let test_verification_agrees () =
   let reports =
@@ -208,23 +208,6 @@ let test_verification_report_renders () =
     (String.length text > 10 &&
      let rec has i = i + 5 <= String.length text && (String.sub text i 5 = "agree" || has (i+1)) in
      has 0)
-
-let test_throughput_positive () =
-  let rows =
-    Xmark_core.Experiments.throughput ~factor:0.001 ~budget_s:0.05
-      ~systems:[ Xmark_core.Runner.D ] ()
-  in
-  match rows with
-  | [ (_, qps) ] -> Alcotest.(check bool) "positive qps" true (qps > 0.0)
-  | _ -> Alcotest.fail "one row expected"
-
-let test_update_workload_runs () =
-  let rows = Xmark_core.Experiments.update_workload ~factor:0.001 ~rounds:2 () in
-  Alcotest.(check int) "two rounds" 2 (List.length rows);
-  List.iter
-    (fun (_, w, r, q) ->
-      Alcotest.(check bool) "times non-negative" true (w >= 0.0 && r >= 0.0 && q >= 0.0))
-    rows
 
 let test_csv_exports () =
   let t1 = Xmark_core.Experiments.table1 ~factor:0.001 () in
@@ -266,8 +249,6 @@ let () =
           Alcotest.test_case "fulltext ablation" `Quick test_fulltext_rows;
           Alcotest.test_case "verification agrees" `Quick test_verification_agrees;
           Alcotest.test_case "verification report" `Quick test_verification_report_renders;
-          Alcotest.test_case "throughput" `Quick test_throughput_positive;
-          Alcotest.test_case "update workload" `Quick test_update_workload_runs;
           Alcotest.test_case "csv exports" `Quick test_csv_exports;
         ] );
     ]

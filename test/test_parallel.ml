@@ -70,14 +70,6 @@ let test_nested_pool_runs_inline () =
       in
       Alcotest.(check (list int)) "nested regions run inline" [ 6; 12; 18; 24 ] got)
 
-let test_filter_array_order () =
-  P.with_pool ~jobs:4 (fun pool ->
-      let xs = Array.init 500 (fun i -> i) in
-      Alcotest.(check (list int))
-        "parallel filter keeps order"
-        (List.filter (fun i -> i mod 7 = 0) (Array.to_list xs))
-        (Array.to_list (P.filter_array pool (fun i -> i mod 7 = 0) xs)))
-
 let test_stats_merge_deterministic () =
   (* counters bumped inside tasks land in the submitting domain's
      registry with totals equal to a sequential run *)
@@ -136,7 +128,6 @@ let () =
           t "pool reuse across batches" test_pool_reuse;
           t "lowest-index exception propagates" test_exception_propagation;
           t "nested pool use runs inline" test_nested_pool_runs_inline;
-          t "filter_array keeps order" test_filter_array_order;
           t "stats merge is deterministic" test_stats_merge_deterministic;
         ] );
       ( "bulkload",

@@ -74,7 +74,7 @@ let test_index_keyed () =
   let idx = Index.build_keyed t (fun r -> v_i (Value.to_float r.(0) |> int_of_float |> fun x -> x mod 2)) in
   Alcotest.(check (list int)) "evens" [ 0; 2 ] (Index.lookup idx (v_i 0))
 
-(* --- plans ---------------------------------------------------------------- *)
+(* --- fixtures ------------------------------------------------------------- *)
 
 let people =
   mk_table "people" [ "id"; "name"; "age" ]
@@ -94,88 +94,6 @@ let orders =
       [ v_i 9; v_f 99.0 ];
     ]
 
-let test_filter_project () =
-  let r = Plan.of_table people in
-  let adults = Plan.filter (fun row -> Value.to_float row.(2) >= 30.0) r in
-  Alcotest.(check int) "two adults" 2 (Plan.count adults);
-  let names = Plan.project adults [ ("name", fun row -> row.(1)) ] in
-  Alcotest.(check bool) "projected" true
-    (Array.to_list names.Plan.rows = [ [| v_s "ann" |]; [| v_s "cat" |] ])
-
-let test_hash_join () =
-  let j =
-    Plan.hash_join ~left:(Plan.of_table people) ~right:(Plan.of_table orders)
-      ~lkey:(fun r -> r.(0))
-      ~rkey:(fun r -> r.(0))
-  in
-  Alcotest.(check int) "3 matches" 3 (Plan.count j);
-  (* left order preserved, right order within key preserved *)
-  let amounts = Array.to_list (Array.map (fun r -> r.(4)) j.Plan.rows) in
-  Alcotest.(check bool) "amounts" true (amounts = [ v_f 10.0; v_f 20.0; v_f 5.0 ])
-
-let test_hash_join_null_keys () =
-  let l = mk_table "l" [ "k" ] [ [ Value.Null ]; [ v_i 1 ] ] in
-  let r = mk_table "r" [ "k" ] [ [ Value.Null ]; [ v_i 1 ] ] in
-  let j =
-    Plan.hash_join ~left:(Plan.of_table l) ~right:(Plan.of_table r)
-      ~lkey:(fun x -> x.(0))
-      ~rkey:(fun x -> x.(0))
-  in
-  Alcotest.(check int) "nulls never join" 1 (Plan.count j)
-
-let test_left_outer_join () =
-  let j =
-    Plan.left_outer_hash_join ~left:(Plan.of_table people) ~right:(Plan.of_table orders)
-      ~lkey:(fun r -> r.(0))
-      ~rkey:(fun r -> r.(0))
-  in
-  (* ann x2, bob null, cat x1, dan null *)
-  Alcotest.(check int) "5 rows" 5 (Plan.count j);
-  let bob = j.Plan.rows.(2) in
-  Alcotest.(check bool) "bob padded with nulls" true (bob.(3) = Value.Null && bob.(4) = Value.Null)
-
-let test_theta_join () =
-  let j =
-    Plan.theta_join ~left:(Plan.of_table people) ~right:(Plan.of_table orders)
-      ~pred:(fun l r -> Value.to_float l.(2) > 2.0 *. Value.to_float r.(1))
-  in
-  (* age > 2*amount: ann(30): 10 yes, 20 no, 5 yes, 99 no = 2; bob(20): 10? 20>20 no, 5 yes, = 1;
-     cat(40): 10 yes, 20 no wait 40>40 no, 5 yes = 2; dan(20): same as bob = 1 *)
-  Alcotest.(check int) "theta matches" 6 (Plan.count j)
-
-let test_sort_stable () =
-  let r = Plan.of_table people in
-  let sorted = Plan.sort r ~cmp:(fun a b -> Value.compare a.(2) b.(2)) in
-  let names = Array.to_list (Array.map (fun row -> Value.to_string row.(1)) sorted.Plan.rows) in
-  Alcotest.(check (list string)) "stable by age" [ "bob"; "dan"; "ann"; "cat" ] names
-
-let test_group () =
-  let g =
-    Plan.group (Plan.of_table orders)
-      ~key:(fun r -> r.(0))
-      ~init:0
-      ~step:(fun acc _ -> acc + 1)
-      ~finish:(fun k n -> [| k; v_i n |])
-  in
-  Alcotest.(check int) "three groups" 3 (Plan.count g);
-  (* first-occurrence order *)
-  let keys = Array.to_list (Array.map (fun r -> r.(0)) g.Plan.rows) in
-  Alcotest.(check bool) "group order" true (keys = [ v_i 1; v_i 3; v_i 9 ]);
-  Alcotest.(check bool) "counts" true (g.Plan.rows.(0).(1) = v_i 2)
-
-let test_distinct () =
-  let d = Plan.distinct (Plan.of_table orders) ~key:(fun r -> r.(0)) in
-  Alcotest.(check int) "three distinct persons" 3 (Plan.count d)
-
-let test_difference () =
-  let d =
-    Plan.difference (Plan.of_table people) (Plan.of_table orders) ~key:(fun r -> r.(0))
-  in
-  (* people with no orders: bob(2), dan(4) *)
-  Alcotest.(check int) "two" 2 (Plan.count d);
-  Alcotest.(check bool) "names" true
-    (Array.to_list (Array.map (fun r -> r.(1)) d.Plan.rows) = [ v_s "bob"; v_s "dan" ])
-
 (* --- catalog ---------------------------------------------------------------- *)
 
 let test_catalog () =
@@ -192,37 +110,6 @@ let test_catalog () =
   Alcotest.(check bool) "lookup miss" true (Catalog.lookup cat "zz" = None);
   Alcotest.(check int) "miss scans all" 4 (Catalog.metadata_accesses cat);
   Alcotest.(check bool) "byte size positive" true (Catalog.byte_size cat > 0)
-
-(* --- property: hash join agrees with nested loop --------------------------- *)
-
-let arb_pairs =
-  QCheck.(list_of_size Gen.(int_range 0 30) (pair (int_bound 10) (int_bound 100)))
-
-let prop_join_equiv_nested_loop =
-  QCheck.Test.make ~name:"hash join = nested loop equi-join" ~count:200
-    (QCheck.pair arb_pairs arb_pairs)
-    (fun (ls, rs) ->
-      let tbl name rows =
-        mk_table name [ "k"; "v" ] (List.map (fun (k, v) -> [ v_i k; v_i v ]) rows)
-      in
-      let l = Plan.of_table (tbl "l" ls) and r = Plan.of_table (tbl "r" rs) in
-      let viahash =
-        Plan.hash_join ~left:l ~right:r ~lkey:(fun x -> x.(0)) ~rkey:(fun x -> x.(0))
-      in
-      let vianested =
-        Plan.theta_join ~left:l ~right:r ~pred:(fun a b -> Value.equal a.(0) b.(0))
-      in
-      let norm rel =
-        Array.to_list rel.Plan.rows |> List.map Array.to_list |> List.sort compare
-      in
-      norm viahash = norm vianested)
-
-let prop_distinct_count =
-  QCheck.Test.make ~name:"distinct count = number of distinct keys" ~count:200 arb_pairs
-    (fun rows ->
-      let t = mk_table "t" [ "k"; "v" ] (List.map (fun (k, v) -> [ v_i k; v_i v ]) rows) in
-      let d = Plan.distinct (Plan.of_table t) ~key:(fun r -> r.(0)) in
-      Plan.count d = List.length (List.sort_uniq compare (List.map fst rows)))
 
 (* --- B+-tree ordered index ---------------------------------------------------- *)
 
@@ -292,84 +179,6 @@ let prop_btree_depth_logarithmic =
       (* height of an 8-way tree over n distinct keys *)
       Btree.depth t <= 2 + int_of_float (log (float_of_int n) /. log 4.0))
 
-(* --- volcano iterators ---------------------------------------------------------- *)
-
-let test_iter_basic_pipeline () =
-  let it =
-    Iter.of_table people
-    |> Iter.filter (fun r -> Value.to_float r.(2) >= 20.0)
-    |> Iter.project (fun r -> [| r.(1) |])
-  in
-  Alcotest.(check int) "all pass" 4 (Iter.count it)
-
-let test_iter_limit_pipelines () =
-  (* limit must stop pulling from the scan: observable via the counter *)
-  let scan = Iter.of_table people in
-  let limited = Iter.limit 2 (Iter.filter (fun _ -> true) scan) in
-  Alcotest.(check int) "two rows out" 2 (List.length (Iter.to_list limited));
-  Alcotest.(check bool) "scan pulled at most 3" true (Iter.pulled scan <= 3)
-
-let test_iter_hash_join_matches_plan () =
-  let via_plan =
-    Plan.hash_join ~left:(Plan.of_table orders) ~right:(Plan.of_table people)
-      ~lkey:(fun r -> r.(0))
-      ~rkey:(fun r -> r.(0))
-  in
-  let via_iter =
-    Iter.hash_join ~build:(Iter.of_table people) ~probe:(Iter.of_table orders)
-      ~bkey:(fun r -> r.(0))
-      ~pkey:(fun r -> r.(0))
-  in
-  Alcotest.(check bool) "same rows" true
-    (Array.to_list via_plan.Plan.rows = Iter.to_list via_iter)
-
-let test_iter_join_is_lazy_on_probe () =
-  let probe = Iter.of_table orders in
-  let joined =
-    Iter.hash_join ~build:(Iter.of_table people) ~probe
-      ~bkey:(fun r -> r.(0))
-      ~pkey:(fun r -> r.(0))
-  in
-  ignore (Iter.next joined);
-  Alcotest.(check bool) "probe side streamed" true (Iter.pulled probe <= 2)
-
-let test_iter_index_nested_loop () =
-  let idx = Index.build orders "person" in
-  let it =
-    Iter.index_nested_loop ~outer:(Iter.of_table people)
-      ~lookup:(fun prow -> Index.lookup_rows idx orders prow.(0))
-  in
-  Alcotest.(check int) "three matches" 3 (Iter.count it)
-
-let test_iter_of_list_and_to_rel () =
-  let it = Iter.of_list [ [| v_i 1 |]; [| v_i 2 |] ] in
-  let rel = Iter.to_rel ~cols:[| "x" |] it in
-  Alcotest.(check int) "two rows" 2 (Plan.count rel)
-
-let prop_iter_filter_equals_plan_filter =
-  QCheck.Test.make ~name:"iter filter = plan filter" ~count:150 arb_entries (fun rows ->
-      let t = mk_table "t" [ "k"; "v" ] (List.mapi (fun i k -> [ v_i k; v_i i ]) rows) in
-      let pred r = Value.to_float r.(0) >= 30.0 in
-      let via_plan = Array.to_list (Plan.filter pred (Plan.of_table t)).Plan.rows in
-      let via_iter = Iter.to_list (Iter.filter pred (Iter.of_table t)) in
-      via_plan = via_iter)
-
-let prop_iter_join_equals_plan_join =
-  QCheck.Test.make ~name:"iter hash join = plan hash join" ~count:100
-    (QCheck.pair arb_entries arb_entries)
-    (fun (ls, rs) ->
-      let lt = mk_table "l" [ "k" ] (List.map (fun k -> [ v_i (k mod 10) ]) ls) in
-      let rt = mk_table "r" [ "k" ] (List.map (fun k -> [ v_i (k mod 10) ]) rs) in
-      let via_plan =
-        Plan.hash_join ~left:(Plan.of_table lt) ~right:(Plan.of_table rt)
-          ~lkey:(fun r -> r.(0)) ~rkey:(fun r -> r.(0))
-      in
-      let via_iter =
-        Iter.hash_join ~build:(Iter.of_table rt) ~probe:(Iter.of_table lt)
-          ~bkey:(fun r -> r.(0)) ~pkey:(fun r -> r.(0))
-      in
-      Array.to_list via_plan.Plan.rows = Iter.to_list via_iter)
-
 let () =
   Alcotest.run "relational"
     [
@@ -390,28 +199,7 @@ let () =
           Alcotest.test_case "lookup" `Quick test_index_lookup;
           Alcotest.test_case "keyed" `Quick test_index_keyed;
         ] );
-      ( "plans",
-        [
-          Alcotest.test_case "filter/project" `Quick test_filter_project;
-          Alcotest.test_case "hash join" `Quick test_hash_join;
-          Alcotest.test_case "null keys" `Quick test_hash_join_null_keys;
-          Alcotest.test_case "left outer join" `Quick test_left_outer_join;
-          Alcotest.test_case "theta join" `Quick test_theta_join;
-          Alcotest.test_case "sort stable" `Quick test_sort_stable;
-          Alcotest.test_case "group" `Quick test_group;
-          Alcotest.test_case "distinct" `Quick test_distinct;
-          Alcotest.test_case "difference" `Quick test_difference;
-        ] );
       ("catalog", [ Alcotest.test_case "catalog" `Quick test_catalog ]);
-      ( "iterators",
-        [
-          Alcotest.test_case "basic pipeline" `Quick test_iter_basic_pipeline;
-          Alcotest.test_case "limit pipelines" `Quick test_iter_limit_pipelines;
-          Alcotest.test_case "hash join = plan" `Quick test_iter_hash_join_matches_plan;
-          Alcotest.test_case "lazy probe" `Quick test_iter_join_is_lazy_on_probe;
-          Alcotest.test_case "index nested loop" `Quick test_iter_index_nested_loop;
-          Alcotest.test_case "of_list / to_rel" `Quick test_iter_of_list_and_to_rel;
-        ] );
       ( "btree",
         [
           Alcotest.test_case "basics" `Quick test_btree_basics;
@@ -420,7 +208,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_join_equiv_nested_loop; prop_distinct_count; prop_btree_matches_model;
-            prop_btree_depth_logarithmic; prop_iter_filter_equals_plan_filter;
-            prop_iter_join_equals_plan_join ] );
+          [ prop_btree_matches_model; prop_btree_depth_logarithmic ] );
     ]

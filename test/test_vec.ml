@@ -82,8 +82,8 @@ let test_cost_model_picks () =
   let q14 = plan_lines 14 in
   Alcotest.(check bool) "root shortcut" true
     (contains_flip "root-test" q14);
-  Alcotest.(check bool) "interval join for //item" true
-    (contains_flip "interval-join" q14);
+  Alcotest.(check bool) "interval join for //item, tag named" true
+    (contains_flip "interval-join(item)" q14);
   (* Q1 is a /site/people/person[...] chain: low-cardinality child steps
      must pick hash probes or semijoins, never a closure *)
   let q1 = plan_lines 1 in
@@ -121,18 +121,69 @@ let test_counters_flow () =
 
 (* --- differential: vectorized = scalar, all systems, all queries ------------ *)
 
+(* Runs [outcome] scalar and vectorized, checks the canonical results
+   are equal and returns the vectorized one. *)
+let vec_equals_scalar label outcome =
+  let digest () = Runner.canonical (outcome ()) in
+  let scalar = with_vec false digest and vec = with_vec true digest in
+  Alcotest.(check string) label scalar vec;
+  vec
+
 let test_matrix_differential () =
   List.iter
     (fun sys ->
       let s = (session sys).Runner.store in
       for n = 1 to 20 do
-        let digest () = Runner.canonical (Runner.run s n) in
-        let scalar = with_vec false digest and vec = with_vec true digest in
-        Alcotest.(check string)
-          (Printf.sprintf "%s Q%d" (Runner.system_name sys) n)
-          scalar vec
+        ignore
+          (vec_equals_scalar
+             (Printf.sprintf "%s Q%d" (Runner.system_name sys) n)
+             (fun () -> Runner.run s n))
       done)
     Runner.all_systems
+
+(* Fixed absolute paths beyond Q1-Q20's: root tests, child and
+   descendant chains, wildcards, attribute-equality filters and a path
+   that matches nothing.  Systems A and B must each answer them the same
+   vectorized and scalar, and agree with each other. *)
+let fixed_paths =
+  [
+    "/site";
+    "/site/people/person";
+    "/site/regions/europe/item";
+    "/site//item";
+    "/site//keyword";
+    "//person";
+    "/site/open_auctions/open_auction/bidder/increase";
+    {|/site/people/person[@id = "person0"]|};
+    {|/site//item[@featured = "yes"]|};
+    "/site/*";
+    "/site/regions/*/item";
+    "/nothing/here";
+  ]
+
+let fixed_path_digests sys =
+  let s = (session sys).Runner.store in
+  List.map
+    (fun src ->
+      vec_equals_scalar
+        (Printf.sprintf "%s %s" (Runner.system_name sys) src)
+        (fun () -> Runner.run_text s src))
+    fixed_paths
+
+(* The vectorized path operators on System A's heap store return what
+   scalar navigation returns. *)
+let test_a_matches_navigation () = ignore (fixed_path_digests Runner.A)
+
+(* The same over System B's fragmenting mapping. *)
+let test_b_matches_navigation () = ignore (fixed_path_digests Runner.B)
+
+(* Both relational mappings number nodes in document pre-order, so the
+   two systems must answer every fixed path identically. *)
+let test_b_agrees_with_a () =
+  let a = fixed_path_digests Runner.A and b = fixed_path_digests Runner.B in
+  List.iter2
+    (fun src (da, db) -> Alcotest.(check string) ("A = B: " ^ src) da db)
+    fixed_paths (List.combine a b)
 
 (* --- cancellation ------------------------------------------------------------ *)
 
@@ -190,6 +241,18 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "vec = scalar, 7x20" `Slow test_matrix_differential;
+        ] );
+      ( "compiler",
+        [
+          Alcotest.test_case "matches navigation" `Quick
+            test_a_matches_navigation;
+        ] );
+      ( "system-b",
+        [
+          Alcotest.test_case "matches navigation" `Quick
+            test_b_matches_navigation;
+          Alcotest.test_case "agrees with system A compiler" `Quick
+            test_b_agrees_with_a;
         ] );
       ( "cancellation",
         [
