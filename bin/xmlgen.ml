@@ -14,9 +14,9 @@ let generate factor output dtd xsd split_per_file stats seed =
   end;
   if stats then begin
     let (bytes, elements), span =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Xmark_stats.now_ns () in
       let r = Xmark_xmlgen.Generator.measure ?seed ~factor () in
-      (r, (Unix.gettimeofday () -. t0) *. 1000.0)
+      (r, Xmark_stats.ms_since t0)
     in
     let c = Xmark_xmlgen.Profile.counts factor in
     Printf.printf "factor         %g\n" factor;

@@ -99,23 +99,6 @@ let stats_json =
           "Run the selected systems and queries with execution statistics enabled and write \
            per-system/per-query counters as JSON to $(docv).")
 
-let bench_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "bench-out" ] ~docv:"FILE"
-        ~doc:
-          "Run the selected systems and queries several times with statistics enabled and \
-           write the benchmark matrix (per-system/per-query median milliseconds plus \
-           counters) as JSON to $(docv).")
-
-let bench_runs =
-  Arg.(
-    value
-    & opt int 3
-    & info [ "bench-runs" ] ~docv:"N"
-        ~doc:"Repetitions per cell for the $(b,--bench-out) medians (default 3).")
-
 let explain =
   Arg.(
     value

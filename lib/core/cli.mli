@@ -34,14 +34,6 @@ val jobs : int Cmdliner.Term.t
 val stats_json : string option Cmdliner.Term.t
 (** [--stats-json FILE]. *)
 
-val bench_out : string option Cmdliner.Term.t
-(** [--bench-out FILE]; write the benchmark matrix (per-cell median
-    milliseconds plus counters) as JSON. *)
-
-val bench_runs : int Cmdliner.Term.t
-(** [--bench-runs N]; repetitions behind the [--bench-out] medians,
-    default 3. *)
-
 val explain : bool Cmdliner.Term.t
 (** [--explain]. *)
 

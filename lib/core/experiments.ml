@@ -451,16 +451,11 @@ let matrix ?(factor = default_factor) ?source ?pool ?(systems = Runner.all_syste
       in
       (results, Stats.since snap))
 
-let stats_matrix ?factor ?source ?pool ?systems ?queries () =
-  fst (matrix ?factor ?source ?pool ?systems ?queries ())
-
-(* GC and timer counters measure the environment (collector scheduling,
-   wall clocks), not the computation, so they are the one part of a
-   stats dump that legitimately differs between sequential and parallel
-   runs of the same matrix. *)
-let environmental (name, _) =
-  (String.length name >= 3 && String.sub name 0 3 = "gc_")
-  || (String.length name >= 3 && String.sub name (String.length name - 3) 3 = "_us")
+(* GC counters measure the environment (collector scheduling), not the
+   computation, so they are the one part of a stats dump that
+   legitimately differs between sequential and parallel runs of the same
+   matrix. *)
+let environmental (name, _) = String.starts_with ~prefix:"gc_" name
 
 let merge_counters lists =
   let tbl = Hashtbl.create 64 in
@@ -529,81 +524,6 @@ let stats_json ?(jobs = 1) ~factor cells =
     factor
     (String.concat ", " (List.map sys_obj (List.rev !systems)))
 
-(* --- benchmark matrix: per-cell medians over repeated runs (--bench-out) ----- *)
-
-type bench_cell = {
-  bn_system : Runner.system;
-  bn_query : int;
-  bn_items : int;
-  bn_load_ms : float;
-  bn_compile_ms : float;
-  bn_execute_ms : float;
-  bn_counters : (string * int) list;
-}
-
-(* Shared nearest-rank machinery from Timing: a bench median is the same
-   statistic the workload driver's percentile reports are built on. *)
-let median_float xs = match xs with [] -> 0.0 | xs -> Timing.median xs
-
-let median_int xs =
-  match List.sort compare xs with
-  | [] -> 0
-  | sorted -> List.nth sorted (List.length sorted / 2)
-
-(* Run the stats matrix [runs] times and reduce each cell to per-field
-   medians.  The functional counters are deterministic, so their median
-   equals any single run; the medians matter for the timings and the
-   environmental gc_* counters, which is what --bench-out exists to
-   compare across builds. *)
-let bench_matrix ?factor ?(runs = 3) ?source ?pool ?systems ?queries () =
-  let runs = max 1 runs in
-  let all =
-    List.init runs (fun _ -> stats_matrix ?factor ?source ?pool ?systems ?queries ())
-  in
-  match all with
-  | [] -> []
-  | first :: _ ->
-      List.map
-        (fun c0 ->
-          let same =
-            List.map
-              (List.find (fun c ->
-                   c.sc_system = c0.sc_system && c.sc_query = c0.sc_query))
-              all
-          in
-          let keys =
-            List.concat_map (fun c -> List.map fst c.sc_counters) same
-            |> List.sort_uniq String.compare
-          in
-          let counter k c = Option.value ~default:0 (List.assoc_opt k c.sc_counters) in
-          {
-            bn_system = c0.sc_system;
-            bn_query = c0.sc_query;
-            bn_items = c0.sc_items;
-            bn_load_ms = median_float (List.map (fun c -> c.sc_load_ms) same);
-            bn_compile_ms = median_float (List.map (fun c -> c.sc_compile_ms) same);
-            bn_execute_ms = median_float (List.map (fun c -> c.sc_execute_ms) same);
-            bn_counters =
-              List.map (fun k -> (k, median_int (List.map (counter k) same))) keys;
-          })
-        first
-
-let bench_json ?(factor = default_factor) ?(jobs = 1) ~runs cells =
-  let cell_obj c =
-    let letter =
-      let name = Runner.system_name c.bn_system in
-      String.sub name (String.length name - 1) 1
-    in
-    Printf.sprintf
-      "{\"system\": \"%s\", \"query\": %d, \"items\": %d, \"load_ms\": %.3f, \"compile_ms\": %.3f, \"execute_ms\": %.3f, \"counters\": %s}"
-      letter c.bn_query c.bn_items c.bn_load_ms c.bn_compile_ms c.bn_execute_ms
-      (Stats.json_of_counters c.bn_counters)
-  in
-  Printf.sprintf "{\"provenance\": %s, \"factor\": %g, \"runs\": %d, \"cells\": [%s]}\n"
-    (Provenance.json ~factor ~jobs ~runs ())
-    factor runs
-    (String.concat ", " (List.map cell_obj cells))
-
 (* --- CSV export (for external plotting of the figures) ----------------------- *)
 
 let csv_escape s =
@@ -660,7 +580,7 @@ let write_file path contents =
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents)
 
 let run_all ?(factor = default_factor) () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Stats.now_ns () in
   let fig3_rows = fig3 () in
   ignore (genperf ());
   let table1_rows = table1 ~factor () in
@@ -679,4 +599,4 @@ let run_all ?(factor = default_factor) () =
       out "table3.csv" (table3_to_csv table3_rows);
       out "fig4.csv" (fig4_to_csv fig4_rows);
       pr "CSV series written to %s/\n" dir);
-  pr "All experiments completed in %.1f s.\n" (Unix.gettimeofday () -. t0)
+  pr "All experiments completed in %.1f s.\n" (Stats.ms_since t0 /. 1000.0)

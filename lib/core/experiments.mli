@@ -132,65 +132,19 @@ val matrix :
 val matrix_digest : factor:float -> stats_cell list * (string * int) list -> string
 (** Deterministic text form of a {!matrix} result: per-cell result
     digests, item counts and counters, plus merged run-phase totals —
-    excluding timings, environmental (GC, timer) counters, and
+    excluding timings, environmental (GC) counters, and
     load-phase counters, so sequential/parallel and parsed/restored
     runs of the same matrix render byte-identical digests. *)
 
-val stats_matrix :
-  ?factor:float ->
-  ?source:Runner.source ->
-  ?pool:Xmark_parallel.pool ->
-  ?systems:Runner.system list ->
-  ?queries:int list ->
-  unit ->
-  stats_cell list
-(** The cells of {!matrix} — the machine-readable form of the Section 7
-    discussion ("System G pays a constant re-parse cost", "Q8/Q9 hinge
-    on the join table"). *)
-
 val stats_json : ?jobs:int -> factor:float -> stats_cell list -> string
-(** Render a matrix as JSON: per-system, per-query counter objects with
+(** Render the cells of a {!matrix} as JSON — the machine-readable form
+    of the Section 7 discussion: per-system, per-query counter objects with
     a stable key set ({!Stats.counter_inventory}), each cell carrying
     both its run counters ("counters") and its load-phase counters and
     time ("load", "load_ms") — which is where a snapshot restore's
     pager hit/miss behaviour shows up.  The leading "provenance" object
     ({!Provenance.json}) records factor, [jobs] (default 1) and the git
     commit, making the dump self-describing. *)
-
-(* --- benchmark matrix (--bench-out) ------------------------------------------- *)
-
-type bench_cell = {
-  bn_system : Runner.system;
-  bn_query : int;
-  bn_items : int;
-  bn_load_ms : float;
-  bn_compile_ms : float;
-  bn_execute_ms : float;
-  bn_counters : (string * int) list;
-}
-(** One (system, query) cell reduced to per-field medians over repeated
-    {!stats_matrix} runs. *)
-
-val bench_matrix :
-  ?factor:float ->
-  ?runs:int ->
-  ?source:Runner.source ->
-  ?pool:Xmark_parallel.pool ->
-  ?systems:Runner.system list ->
-  ?queries:int list ->
-  unit ->
-  bench_cell list
-(** Run the stats matrix [runs] times (default 3) and reduce each cell
-    to medians — the functional counters are deterministic across runs,
-    so the medians matter for timings and the gc_* counters, which is
-    what cross-build performance comparisons need. *)
-
-val bench_json : ?factor:float -> ?jobs:int -> runs:int -> bench_cell list -> string
-(** Render a bench matrix as a flat JSON cell array
-    [{"provenance": {...}, "factor": f, "runs": n, "cells": [...]}] with
-    the stable {!Stats.counter_inventory} key set per cell; the
-    provenance header ({!Provenance.json}) records factor, [jobs]
-    (default 1), [runs] and the git commit. *)
 
 (* --- CSV export ---------------------------------------------------------------- *)
 

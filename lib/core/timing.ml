@@ -11,64 +11,15 @@ let zero = { wall_ms = 0.0; cpu_ms = 0.0 }
 
 let add a b = { wall_ms = a.wall_ms +. b.wall_ms; cpu_ms = a.cpu_ms +. b.cpu_ms }
 
+(* Wall time on the program's one monotonic clock; CPU time from
+   [Sys.time], which Table 2's CPU fraction needs. *)
 let measure f =
-  let w0 = Unix.gettimeofday () in
+  let w0 = Xmark_stats.now_ns () in
   let c0 = Sys.time () in
   let result = f () in
   let c1 = Sys.time () in
-  let w1 = Unix.gettimeofday () in
-  (result, { wall_ms = (w1 -. w0) *. 1000.0; cpu_ms = (c1 -. c0) *. 1000.0 })
-
-let time_only f = snd (measure f)
-
-(* The upper median: rank [runs / 2] (0-based) of the sorted runs, so
-   [runs = 1] picks the only run and even [runs] pick the later of the two
-   middle elements rather than interpolating (the result must be one of
-   the actual measured runs, since its payload is returned too). *)
-let median_rank runs = runs / 2
-
-(** Median-of-runs measurement for stable small timings. *)
-let measure_median ~runs f =
-  if runs <= 0 then
-    invalid_arg (Printf.sprintf "Timing.measure_median: runs must be positive, got %d" runs);
-  let results = List.init runs (fun _ -> measure f) in
-  let sorted =
-    List.sort (fun (_, a) (_, b) -> Float.compare a.wall_ms b.wall_ms) results
-  in
-  List.nth sorted (median_rank runs)
-
-(* --- percentiles over raw samples ---------------------------------------- *)
-
-(* Nearest-rank on the sorted samples: the smallest sample with at least
-   p% of the population at or below it.  p = 50 on an odd population is
-   the exact median; p = 0 the minimum; p = 100 the maximum.  Always one
-   of the actual samples — no interpolation, matching [median_rank]'s
-   philosophy that a reported number must have been measured. *)
-let percentile p samples =
-  if samples = [] then invalid_arg "Timing.percentile: empty sample list";
-  if p < 0.0 || p > 100.0 then
-    invalid_arg (Printf.sprintf "Timing.percentile: p out of range: %g" p);
-  let sorted = List.sort Float.compare samples in
-  let n = List.length sorted in
-  let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
-  let rank = if rank < 1 then 1 else if rank > n then n else rank in
-  List.nth sorted (rank - 1)
-
-let percentiles ps samples =
-  if samples = [] then invalid_arg "Timing.percentiles: empty sample list";
-  let sorted = List.sort Float.compare samples in
-  let n = List.length sorted in
-  let arr = Array.of_list sorted in
-  List.map
-    (fun p ->
-      if p < 0.0 || p > 100.0 then
-        invalid_arg (Printf.sprintf "Timing.percentiles: p out of range: %g" p);
-      let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
-      let rank = if rank < 1 then 1 else if rank > n then n else rank in
-      (p, arr.(rank - 1)))
-    ps
-
-let median samples = percentile 50.0 samples
+  let wall_ms = Xmark_stats.ms_since w0 in
+  (result, { wall_ms; cpu_ms = (c1 -. c0) *. 1000.0 })
 
 (* --- log-bucketed latency histogram --------------------------------------- *)
 

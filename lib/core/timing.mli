@@ -11,35 +11,8 @@ val zero : span
 val add : span -> span -> span
 
 val measure : (unit -> 'a) -> 'a * span
-(** Run the thunk once, returning its result and the elapsed span. *)
-
-val time_only : (unit -> unit) -> span
-
-val median_rank : int -> int
-(** 0-based rank of the run {!measure_median} selects after sorting by
-    wall-clock time: the upper median, [runs / 2].  [median_rank 1 = 0];
-    for even [runs] the later of the two middle runs is chosen (the
-    result must be one of the actual runs, so no interpolation). *)
-
-val measure_median : runs:int -> (unit -> 'a) -> 'a * span
-(** Run the thunk [runs] times and return the run with the median
-    wall-clock time (see {!median_rank}).  Raises [Invalid_argument] if
-    [runs <= 0]. *)
-
-(* --- percentiles ----------------------------------------------------------- *)
-
-val percentile : float -> float list -> float
-(** Nearest-rank percentile of the samples: the smallest sample with at
-    least [p]% of the population at or below it.  Always one of the
-    actual samples.  Raises [Invalid_argument] on an empty list or
-    [p] outside [0, 100]. *)
-
-val percentiles : float list -> float list -> (float * float) list
-(** [(p, percentile p samples)] for each requested [p], sorting the
-    samples once. *)
-
-val median : float list -> float
-(** [percentile 50.0]. *)
+(** Run the thunk once, returning its result and the elapsed span:
+    wall time on {!Xmark_stats.now_ns}, CPU time from [Sys.time]. *)
 
 (** Log-bucketed latency histogram: constant memory for any sample
     count, O(1) insert, mergeable across domains.  Eight geometric

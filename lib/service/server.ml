@@ -236,22 +236,22 @@ let release t disposition =
   Condition.signal t.slot_free;
   Mutex.unlock t.lock
 
-(* The deadline check Eval polls: gettimeofday is ~20ns but polls fire
-   per node visited, so only look at the clock on the 1st, 65th, 129th...
-   poll.  Sampling the first poll matters: a vectorized plan polls once
-   per block, and a query with fewer than 64 blocks would otherwise never
-   see its deadline. *)
-let deadline_check ~t0 ~deadline =
+(* The deadline check Eval polls.  Polls fire per node visited, so only
+   read the clock on the 1st, 65th, 129th... poll.  Sampling the first
+   poll matters: a vectorized plan polls once per block, and a query with
+   fewer than 64 blocks would otherwise never see its deadline.  The
+   deadline stays relative to [t0] on the monotonic clock, so a
+   wall-clock step cannot move it. *)
+let deadline_check ~t0 ~deadline_ms =
   let polls = ref 0 in
   fun () ->
     incr polls;
     if !polls land 63 = 1 then begin
-      let now = Unix.gettimeofday () in
-      if now > deadline then
+      let elapsed = Stats.ms_since t0 in
+      if elapsed > deadline_ms then
         raise
           (Cancel.Cancelled
-             (Printf.sprintf "deadline exceeded after %.1f ms"
-                ((now -. t0) *. 1000.0)))
+             (Printf.sprintf "deadline exceeded after %.1f ms" elapsed))
     end
 
 (* [?deadline_ms] overrides the server-wide deadline for this one
@@ -259,21 +259,20 @@ let deadline_check ~t0 ~deadline =
    server whose healthy clients keep their generous budget. *)
 let submit_with ?deadline_ms ?partial_shard t ~key ~prepare =
   Stats.incr "service_requests";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Stats.now_ns () in
   (* pin the epoch before admission: session and plan cache travel
      together for the whole request *)
   let ep = Atomic.get t.current in
   match acquire t with
   | Error e -> Error e
   | Ok () -> (
-      let queue_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+      let queue_ms = Stats.ms_since t0 in
       let deadline_ms =
         match deadline_ms with Some _ as d -> d | None -> t.cfg.deadline_ms
       in
-      let deadline = Option.map (fun ms -> t0 +. (ms /. 1000.0)) deadline_ms in
       let work () =
-        (match deadline with
-        | Some d when Unix.gettimeofday () > d ->
+        (match deadline_ms with
+        | Some ms when Stats.ms_since t0 > ms ->
             raise (Cancel.Cancelled "deadline exceeded while queued")
         | _ -> ());
         let body () =
@@ -300,16 +299,16 @@ let submit_with ?deadline_ms ?partial_shard t ~key ~prepare =
             plan_hit,
             payload )
         in
-        match deadline with
+        match deadline_ms with
         | None -> body ()
-        | Some d -> Cancel.with_check (deadline_check ~t0 ~deadline:d) body
+        | Some ms -> Cancel.with_check (deadline_check ~t0 ~deadline_ms:ms) body
       in
       let dispatch () =
         match t.pool with
         | Some pool when Parallel.jobs pool > 1 -> Parallel.await (Parallel.async pool work)
         | _ -> work ()
       in
-      let elapsed () = (Unix.gettimeofday () -. t0) *. 1000.0 in
+      let elapsed () = Stats.ms_since t0 in
       match dispatch () with
       | items, digest, plan_hit, payload ->
           release t `Ok;
@@ -352,15 +351,15 @@ let submit_with ?deadline_ms ?partial_shard t ~key ~prepare =
    triple. *)
 let commit_update ?deadline_ms t w u =
   Stats.incr "service_requests";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Stats.now_ns () in
   match acquire t with
   | Error e -> Error e
   | Ok () -> (
-      let queue_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+      let queue_ms = Stats.ms_since t0 in
       let deadline_ms =
         match deadline_ms with Some _ as d -> d | None -> t.cfg.deadline_ms
       in
-      let elapsed () = (Unix.gettimeofday () -. t0) *. 1000.0 in
+      let elapsed () = Stats.ms_since t0 in
       let late =
         match deadline_ms with Some ms -> elapsed () > ms | None -> false
       in

@@ -276,15 +276,15 @@ let strand_step transport mix total_weight write_targets s =
   in
   (* latency is clocked here — it covers the transport, not just the
      server-side slice the reply reports *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Stats.now_ns () in
   (match conn.call req with
   | Ok (Protocol.Reply reply) ->
       c.cs_ok <- c.cs_ok + 1;
-      Timing.Histogram.add c.cs_hist ((Unix.gettimeofday () -. t0) *. 1000.0);
+      Timing.Histogram.add c.cs_hist (Stats.ms_since t0);
       note_digest c ~epoch:reply.Protocol.epoch reply.Protocol.digest
   | Ok (Protocol.Committed _) ->
       c.cs_ok <- c.cs_ok + 1;
-      Timing.Histogram.add c.cs_hist ((Unix.gettimeofday () -. t0) *. 1000.0)
+      Timing.Histogram.add c.cs_hist (Stats.ms_since t0)
   | Error (Protocol.Timeout _) -> c.cs_timeouts <- c.cs_timeouts + 1
   | Error (Protocol.Overloaded _) -> c.cs_rejected <- c.cs_rejected + 1
   | Error (Protocol.Rejected _) -> c.cs_conflicts <- c.cs_conflicts + 1
@@ -363,7 +363,7 @@ let run_transport ?seed ?(domains = 0) ?write_targets ~clients ~requests ~mix
     List.init ndomains (fun d ->
         List.filteri (fun i _ -> i mod ndomains = d) strands)
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Stats.now_ns () in
   (match groups with
   | [] -> ()
   | first :: rest ->
@@ -385,7 +385,7 @@ let run_transport ?seed ?(domains = 0) ?write_targets ~clients ~requests ~mix
   List.iter
     (fun s -> Array.iteri (fun i c -> merge_class ~into:merged.(i) c) s.st_classes)
     strands;
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let elapsed_s = Stats.ms_since t0 /. 1000.0 in
   let hist = Timing.Histogram.create () in
   let whist = Timing.Histogram.create () in
   let ok = ref 0 and committed = ref 0 and timeouts = ref 0 in

@@ -18,6 +18,16 @@
    enabled it is a domain-local fetch plus two hashtable probes, the
    first of which is cached per scope. *)
 
+(* --- the clock ------------------------------------------------------------ *)
+
+(* CLOCK_MONOTONIC through bechamel's noalloc stub: an NTP step or a
+   manual clock change cannot shorten a deadline or skew a latency.  The
+   origin is arbitrary, so only differences of two readings mean
+   anything. *)
+let now_ns () = Monotonic_clock.now ()
+
+let ms_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6
+
 type counters = (string, int ref) Hashtbl.t
 
 type state = {
@@ -114,17 +124,6 @@ let count_allocations f =
         incr
           ~by:(g1.Gc.major_collections - g0.Gc.major_collections)
           "gc_major_collections")
-      f
-  end
-
-let time name f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dt = Unix.gettimeofday () -. t0 in
-        incr ~by:(int_of_float (dt *. 1e6)) (name ^ "_us"))
       f
   end
 

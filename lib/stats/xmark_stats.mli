@@ -1,5 +1,5 @@
-(** Execution-statistics layer: named monotonic counters and timers,
-    grouped into scopes.
+(** Execution-statistics layer: named monotonic counters grouped into
+    scopes, and the one clock every duration and deadline reads.
 
     The benchmark's whole point is attributing cost to query-processing
     primitives; end-to-end timings alone cannot do that.  Every engine
@@ -20,6 +20,17 @@
     domain with {!export_and_clear} / {!absorb}, in deterministic task
     order — so a parallel run's merged totals equal a sequential
     run's. *)
+
+(* --- the clock ------------------------------------------------------------- *)
+
+val now_ns : unit -> int64
+(** CLOCK_MONOTONIC in nanoseconds from an arbitrary per-process
+    origin.  Every duration and deadline in the program is measured on
+    it, so a wall-clock step cannot time a request out early or late;
+    only differences of two readings are meaningful. *)
+
+val ms_since : int64 -> float
+(** [ms_since t0] is the milliseconds elapsed since the reading [t0]. *)
 
 (* --- enabling ----------------------------------------------------------- *)
 
@@ -56,11 +67,6 @@ val current_scope : unit -> string
 val incr : ?by:int -> string -> unit
 (** Add [by] (default 1) to a counter in the current scope.  No-op when
     disabled. *)
-
-val time : string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f] and adds its wall-clock duration in
-    microseconds to counter [name ^ "_us"].  When disabled, just
-    [f ()]. *)
 
 val count_allocations : (unit -> 'a) -> 'a
 (** [count_allocations f] runs [f] and adds the allocation the GC saw

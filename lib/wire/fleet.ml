@@ -66,7 +66,7 @@ let kill_and_reap workers =
 (* A worker is ready when its socket accepts a connection.  Fail fast if
    the child already exited (bad snapshot, bind failure...). *)
 let wait_ready ~timeout_s workers =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let t0 = Xmark_stats.now_ns () in
   Array.iter
     (fun w ->
       let rec poll () =
@@ -85,7 +85,7 @@ let wait_ready ~timeout_s workers =
                      | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
                      | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s))
             | exception Unix.Unix_error _ -> ());
-            if Unix.gettimeofday () > deadline then begin
+            if Xmark_stats.ms_since t0 > timeout_s *. 1000.0 then begin
               kill_and_reap workers;
               failwith
                 (Printf.sprintf "fleet worker %d not ready within %.0f s"
