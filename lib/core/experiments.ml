@@ -319,7 +319,7 @@ let scaling ?(factors = [ 0.005; 0.01; 0.02; 0.04 ]) () =
       ("Q6 on D (summary count)", Runner.D, 6);
       ("Q6 on F (navigation)", Runner.F, 6);
       ("Q9 on C (mis-planned scan join)", Runner.C, 9);
-      ("Q9 on E (correlated nested loop)", Runner.E, 9);
+      ("Q11 on E (theta-join nested loop)", Runner.E, 11);
       ("Q9 on D (optimized hash join)", Runner.D, 9);
     ]
   in

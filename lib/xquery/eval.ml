@@ -34,8 +34,8 @@ module Make (S : Store_sig.S) = struct
     tag_arrays : (Symbol.t, S.node array option) Hashtbl.t;
         (* doc-order extent per tag, when the backend offers one *)
     optimize : bool;
-        (* heuristic rewrites: equi-joins in FLWOR bodies become hash joins
-           (the hand-optimized plans the paper applied to Systems D-F) *)
+        (* System D's hand plan for theta joins: counted lets are inlined
+           and numeric inequality counts answered by binary search *)
     join_tables : (join_side, join_table) Hashtbl.t;
     ineq_tables : (join_side, (float array * float array) option) Hashtbl.t;
         (* per-item (min,max) key values, each sorted ascending; None when
@@ -1023,22 +1023,57 @@ module Make (S : Store_sig.S) = struct
 
   and uses_any_var e = expr_vars [] e <> []
 
+  (* Whether an expression reads the focus it is evaluated under: the
+     context item, position() or last().  Predicate bodies set a focus of
+     their own, so they are not searched. *)
+  and uses_focus (e : Ast.expr) =
+    match e with
+    | Ast.Context | Ast.Call (("string" | "name" | "position" | "last"), []) -> true
+    | Ast.Number _ | Ast.Literal _ | Ast.Root | Ast.Var _ -> false
+    | Ast.Sequence es | Ast.Call (_, es) -> List.exists uses_focus es
+    | Ast.Path (o, _) | Ast.Filter (o, _) | Ast.Neg o -> uses_focus o
+    | Ast.Flwor fl ->
+        List.exists (function Ast.For (_, e') | Ast.Let (_, e') -> uses_focus e') fl.Ast.clauses
+        || Option.fold ~none:false ~some:uses_focus fl.Ast.where
+        || List.exists (fun { Ast.key; _ } -> uses_focus key) fl.Ast.order
+        || uses_focus fl.Ast.ret
+    | Ast.Quantified (_, binds, sat) ->
+        List.exists (fun (_, e') -> uses_focus e') binds || uses_focus sat
+    | Ast.If (a, b, c) -> uses_focus a || uses_focus b || uses_focus c
+    | Ast.Or (a, b) | Ast.And (a, b) | Ast.Compare (_, a, b) | Ast.Arith (_, a, b)
+    | Ast.Node_before (a, b) | Ast.Node_after (a, b) ->
+        uses_focus a || uses_focus b
+    | Ast.Elem_ctor (_, attrs, content) ->
+        List.exists
+          (fun (_, pieces) ->
+            List.exists (function Ast.A_expr e' -> uses_focus e' | Ast.A_text _ -> false) pieces)
+          attrs
+        || List.exists (function Ast.C_expr e' -> uses_focus e' | Ast.C_text _ -> false) content
+
+  (* A join side cached across evaluations of its FLWOR: SRC must read
+     no variable and KEY none but $v, and neither may read the focus (a
+     relative SRC such as [watches/watch] differs per context item). *)
+  and cacheable_source src = not (uses_any_var src || uses_focus src)
+
+  and cacheable_key v key =
+    List.for_all (String.equal v) (expr_vars [] key) && not (uses_focus key)
+
   (* Hash-join rewrite:  for $v in SRC where KEY($v) = PROBE(outer) ...
-     with a variable-free SRC becomes a build-once / probe-per-tuple hash
-     join — the hand-optimized plan shape the paper applied to the
-     main-memory systems.  Valid only when every key atomizes to an
-     untyped string (general '=' on two untyped values is string
-     equality); anything else falls back to the nested loop. *)
+     with a cacheable SRC and KEY becomes a build-once / probe-per-tuple hash
+     join on every backend — in the paper every system ran the id-chasing
+     equi-joins Q8/Q9 with a join algorithm.  Valid only when every key
+     atomizes to an untyped string (general '=' on two untyped values is
+     string equality); anything else falls back to the nested loop. *)
   and join_pattern f =
     match f.Ast.clauses with
-    | [ Ast.For (v, src) ] when not (uses_any_var src) -> (
+    | [ Ast.For (v, src) ] when cacheable_source src -> (
         match f.Ast.where with
         | Some (Ast.Compare (Ast.Eq, lhs, rhs)) ->
-            (* the build key may depend only on $v (it is cached across
-               probes); the probe side must not depend on $v at all *)
-            let only_v e = List.for_all (String.equal v) (expr_vars [] e) in
-            if uses_var v lhs && only_v lhs && not (uses_var v rhs) then Some (v, src, lhs, rhs)
-            else if uses_var v rhs && only_v rhs && not (uses_var v lhs) then
+            (* the build key is cached across probes; the probe side must
+               not depend on $v at all *)
+            if uses_var v lhs && cacheable_key v lhs && not (uses_var v rhs) then
+              Some (v, src, lhs, rhs)
+            else if uses_var v rhs && cacheable_key v rhs && not (uses_var v lhs) then
               Some (v, src, rhs, lhs)
             else None
         | _ -> None)
@@ -1072,40 +1107,39 @@ module Make (S : Store_sig.S) = struct
   (* Tuple stream for an optimizable FLWOR; None = fall back to the
      nested-loop pipeline. *)
   and try_hash_join ctx f =
-    if not ctx.c.optimize then None
-    else
-      match join_pattern f with
-      | None -> None
-      | Some (v, src, key, probe) -> (
-          match build_join_table ctx v src key with
-          | Unusable -> None
-          | Built (items, table) ->
-              let probe_keys = atomize ctx (eval ctx probe) in
+    match join_pattern f with
+    | None -> None
+    | Some (v, src, key, probe) -> (
+        match build_join_table ctx v src key with
+        | Unusable -> None
+        | Built (items, table) ->
+            let probe_keys = atomize ctx (eval ctx probe) in
+            if
+              List.exists
+                (function Str _ -> false | D | N _ | C _ | A _ | Num _ | Bool _ -> true)
+                probe_keys
+            then None
+            else begin
+              (* counted only for probes the table answers *)
               if Stats.enabled () then
                 Stats.incr ~by:(List.length probe_keys) "join_probes";
-              if
-                List.exists
-                  (function Str _ -> false | D | N _ | C _ | A _ | Num _ | Bool _ -> true)
-                  probe_keys
-              then None
-              else begin
-                let matched = Hashtbl.create 16 in
-                List.iter
-                  (function
-                    | Str ks ->
-                        List.iter
-                          (fun i -> Hashtbl.replace matched i ())
-                          (Option.value ~default:[] (Hashtbl.find_opt table ks))
-                    | D | N _ | C _ | A _ | Num _ | Bool _ -> ())
-                  probe_keys;
-                let indices =
-                  List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) matched [])
-                in
-                Some
-                  (List.map
-                     (fun i -> { ctx with vars = (v, [ items.(i) ]) :: ctx.vars })
-                     indices)
-              end)
+              let matched = Hashtbl.create 16 in
+              List.iter
+                (function
+                  | Str ks ->
+                      List.iter
+                        (fun i -> Hashtbl.replace matched i ())
+                        (Option.value ~default:[] (Hashtbl.find_opt table ks))
+                  | D | N _ | C _ | A _ | Num _ | Bool _ -> ())
+                probe_keys;
+              let indices =
+                List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) matched [])
+              in
+              Some
+                (List.map
+                   (fun i -> { ctx with vars = (v, [ items.(i) ]) :: ctx.vars })
+                   indices)
+            end)
 
   (* count(for $v in SRC where A op B return $v) with a numeric inequality
      between a $v-only side and an outer side: answered with binary search
@@ -1127,21 +1161,20 @@ module Make (S : Store_sig.S) = struct
 
   and ineq_pattern f =
     match f.Ast.clauses with
-    | [ Ast.For (v, src) ] when not (uses_any_var src) -> (
+    | [ Ast.For (v, src) ] when cacheable_source src -> (
         match (f.Ast.where, f.Ast.order, f.Ast.ret) with
         | Some (Ast.Compare (op, lhs, rhs)), [], Ast.Var rv
           when String.equal rv v
                && (op = Ast.Gt || op = Ast.Lt || op = Ast.Ge || op = Ast.Le)
                && (always_numeric lhs || always_numeric rhs) ->
-            let only_v e = List.for_all (String.equal v) (expr_vars [] e) in
-            if uses_var v lhs && only_v lhs && not (uses_var v rhs) then
+            if uses_var v lhs && cacheable_key v lhs && not (uses_var v rhs) then
               (* KEY($v) op PROBE  — flip to PROBE op' KEY *)
               let flip = function
                 | Ast.Gt -> Ast.Lt | Ast.Lt -> Ast.Gt | Ast.Ge -> Ast.Le | Ast.Le -> Ast.Ge
                 | o -> o
               in
               Some (v, src, lhs, flip op, rhs)
-            else if uses_var v rhs && only_v rhs && not (uses_var v lhs) then
+            else if uses_var v rhs && cacheable_key v rhs && not (uses_var v lhs) then
               Some (v, src, rhs, op, lhs)
             else None
         | _ -> None)

@@ -37,14 +37,24 @@ module Make (S : Store_sig.S) : sig
       meta-data access the paper's Table 2 measures as part of
       compilation).
 
-      With [optimize] (default false), FLWOR bodies of the shape
-      [for $v in SRC where KEY($v) = PROBE return ...] with variable-free
-      [SRC] execute as build-once hash joins instead of nested loops — the
-      hand-optimized plans the paper applied to the main-memory systems
-      ("For Systems D through F we had to experiment with several
-      hand-optimized execution plans").  The rewrite is semantics
-      preserving: it only fires when every join key atomizes to an untyped
-      string, where the general [=] means string equality. *)
+      On every backend, FLWOR bodies of the shape
+      [for $v in SRC where KEY($v) = PROBE return ...] execute as hash
+      joins: the table over [SRC] is built once per compiled query and
+      probed per outer tuple, instead of a nested loop.  The rewrite is
+      semantics preserving: it only fires when [SRC] reads no variable
+      and [KEY] none but [$v], when neither reads the context item,
+      position or size (a relative [SRC] differs per context item), and
+      when every join key atomizes to an untyped string, where the
+      general [=] means string equality.  A [where] clause of any other
+      shape (for example [boolean(KEY = PROBE)]) keeps the nested loop.
+
+      With [optimize] (default false), the theta joins get System D's
+      hand-optimized plan ("For Systems D through F we had to experiment
+      with several hand-optimized execution plans"): a [let] bound to a
+      FLWOR and used only under [count] is inlined, and
+      [count(for $v in SRC where KEY($v) op PROBE return $v)] with a
+      numeric inequality [op] is answered by binary search over sorted
+      keys instead of a nested loop. *)
 
   val explain_vec : compiled -> (string * string list) list
   (** The vectorized physical plans chosen for this query's absolute

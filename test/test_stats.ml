@@ -160,6 +160,29 @@ let test_system_g_pays_parse_every_execution () =
     (counter g2.Runner.run_stats "sax_events");
   Alcotest.(check int) "D never parses at query time" 0 (counter d.Runner.run_stats "sax_events")
 
+(* Which join plan each system runs: every Eval-backed system builds a
+   hash table for Q8's equi-join and probes it (join_probes counts only
+   probes a usable table answers), while the theta joins Q11/Q12 stay
+   nested loops everywhere but on D, whose hand plan answers them from
+   sorted key tables (counted under the same names). *)
+let test_join_plans_per_system () =
+  Stats.enable ();
+  let counters sys =
+    let store = (Runner.load ~source:(`Text (Lazy.force doc)) sys).Runner.store in
+    fun name q -> counter (Runner.run store q).Runner.run_stats name
+  in
+  List.iter
+    (fun sys ->
+      let name = Runner.system_name sys and counter = counters sys in
+      Alcotest.(check bool) (name ^ " Q8 hash join") true (counter "join_tables_built" 8 > 0);
+      Alcotest.(check bool) (name ^ " Q8 hash probes") true (counter "join_probes" 8 > 0);
+      Alcotest.(check int) (name ^ " Q11 nested loop") 0 (counter "join_tables_built" 11);
+      Alcotest.(check int) (name ^ " Q12 nested loop") 0 (counter "join_tables_built" 12))
+    Runner.[ A; B; E; F; G ];
+  let d = counters Runner.D "join_tables_built" in
+  Alcotest.(check bool) "System D Q11 sorted-key join" true (d 11 > 0);
+  Alcotest.(check bool) "System D Q12 sorted-key join" true (d 12 > 0)
+
 let test_bulkload_scope_attribution () =
   Stats.enable ();
   let _ = Runner.load ~source:(`Text (Lazy.force doc)) Runner.D in
@@ -206,6 +229,7 @@ let () =
           t "tag-array cache hits on 2nd run" test_tag_array_cache_hits_on_second_run;
           t "System G re-parses every execution" test_system_g_pays_parse_every_execution;
           t "bulkload scope attribution" test_bulkload_scope_attribution;
+          t "join plan per system" test_join_plans_per_system;
         ] );
       ( "timing",
         [
