@@ -3,8 +3,7 @@
    The default exhibit, all, runs every one in sequence (and writes CSV
    series when XMARK_CSV_DIR is set); naming one exhibit and a factor is
    convenient while exploring.  The matrix exhibit and --stats-json run
-   the full (system, query) grid, optionally fanned out over a domain
-   pool with --jobs; results are identical for any pool size.
+   the full (system, query) grid, one freshly loaded store per cell.
    Performance is measured by perfbench, not here.
 
    --save-snapshot writes the loaded store of one system (--system,
@@ -18,22 +17,22 @@ module Cli = Xmark_core.Cli
 module Runner = Xmark_core.Runner
 module Timing = Xmark_core.Timing
 
-let run_stats_json file factor jobs source pool systems queries =
+let run_stats_json file factor source systems queries =
   let module E = Xmark_core.Experiments in
   (* open before the (possibly long) matrix run, so a bad path fails fast *)
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      let cells, _ = E.matrix ~factor ?source ?pool ~systems ~queries () in
-      output_string oc (E.stats_json ~jobs ~factor cells));
+      let cells, _ = E.matrix ~factor ?source ~systems ~queries () in
+      output_string oc (E.stats_json ~factor cells));
   Printf.eprintf "wrote %s (%d systems x %d queries at factor %g)\n%!" file
     (List.length systems) (List.length queries) factor;
   0
 
 (* Load one system, snapshot it, and time a restore against the original
    load — the paper's bulkload column with persistence taken seriously. *)
-let run_save system doc snapshot factor pool out =
+let run_save system doc snapshot factor out =
   let source =
     match (snapshot, doc) with
     | Some p, _ -> `Snapshot p
@@ -45,10 +44,10 @@ let run_save system doc snapshot factor pool out =
   let load_span, save_span =
     (* scoped so the parsed store is dead before the restore is timed *)
     let session, load_span =
-      Timing.measure (fun () -> Runner.load ?pool ~source system)
+      Timing.measure (fun () -> Runner.load ~source system)
     in
     let (), save_span =
-      Timing.measure (fun () -> Runner.save_snapshot ?pool session out)
+      Timing.measure (fun () -> Runner.save_snapshot session out)
     in
     (load_span, save_span)
   in
@@ -57,7 +56,7 @@ let run_save system doc snapshot factor pool out =
      store it was serialised from *)
   Gc.compact ();
   let restored, restore_span =
-    Timing.measure (fun () -> Runner.load ?pool ~source:(`Snapshot out) system)
+    Timing.measure (fun () -> Runner.load ~source:(`Snapshot out) system)
   in
   ignore restored;
   let bytes = (Unix.stat out).Unix.st_size in
@@ -73,18 +72,17 @@ let run_save system doc snapshot factor pool out =
     (load_span.Timing.wall_ms /. Float.max 0.001 restore_span.Timing.wall_ms);
   0
 
-let run exhibit factor jobs no_vec stats_json systems queries system doc snapshot save =
+let run exhibit factor no_vec stats_json systems queries system doc snapshot save =
   let module E = Xmark_core.Experiments in
   Cli.install_no_vec no_vec;
-  let pool = Cli.pool_of_jobs jobs in
   let source = Option.map (fun p -> `Snapshot p) snapshot in
   try
     match save with
-    | Some out -> run_save system doc snapshot factor pool out
+    | Some out -> run_save system doc snapshot factor out
     | None -> (
         match stats_json with
         | Some file -> (
-            try run_stats_json file factor jobs source pool systems queries
+            try run_stats_json file factor source systems queries
             with Failure m | Sys_error m ->
               Printf.eprintf "%s\n" m;
               2)
@@ -99,17 +97,16 @@ let run exhibit factor jobs no_vec stats_json systems queries system doc snapsho
             | "scaling" -> ignore (E.scaling ()); 0
             | "fulltext" -> ignore (E.fulltext ~factor ()); 0
             | "matrix" ->
-                (* the deterministic digest goes to stdout: diffing a --jobs N
-                   run against a --jobs 1 run is the parallel determinism
-                   check, and a --snapshot run against a parse run the
-                   persistence one *)
+                (* the deterministic digest goes to stdout: diffing two
+                   runs is the determinism check, and a --snapshot run
+                   against a parse run the persistence one *)
                 let result, span =
                   Timing.measure (fun () ->
-                      E.matrix ~factor ?source ?pool ~systems ~queries ())
+                      E.matrix ~factor ?source ~systems ~queries ())
                 in
                 print_string (E.matrix_digest ~factor result);
-                Printf.eprintf "matrix: %d cells with %d job(s) in %.1f ms\n%!"
-                  (List.length (fst result)) (max 1 jobs) span.Timing.wall_ms;
+                Printf.eprintf "matrix: %d cells in %.1f ms\n%!"
+                  (List.length (fst result)) span.Timing.wall_ms;
                 0
             | "all" -> E.run_all ~factor (); 0
             | other ->
@@ -142,7 +139,7 @@ let cmd =
     Term.(
       const run $ exhibit_arg
       $ Cli.factor ~default:Xmark_core.Experiments.default_factor ()
-      $ Cli.jobs $ Cli.no_vec $ Cli.stats_json $ Cli.systems
+      $ Cli.no_vec $ Cli.stats_json $ Cli.systems
       $ Cli.queries
       $ Cli.system ~default:Xmark_core.Runner.B ()
       $ Cli.doc_file $ Cli.snapshot $ Cli.save_snapshot)

@@ -1,7 +1,8 @@
 (* xmark_serve — drive the concurrent query service and report
    throughput and tail latency, in process or over the wire.
 
-   Four modes, selected by --listen / --connect / --fleet:
+   Six modes, selected by --listen / --connect / --fleet / --shards /
+   --checkpoint:
 
    - default: load each selected system once and sweep --clients against
      it in process (the PR-5 behavior).  With --wal DIR the sweep runs
@@ -18,6 +19,11 @@
    - --fleet N: fork N read-only worker processes behind a round-robin
      front door; incompatible with --wal (workers cannot share a
      single-writer log).
+   - --shards K: partition the document into K shards, serve each from
+     its own forked worker, and run Q1-Q20 scatter-gather against the
+     single-store digests.
+   - --wal DIR --checkpoint: fold the log into a fresh base snapshot and
+     exit.
 
    Sweeping --clients 1,2,4,8 produces the client-scaling curve: total
    work is held constant, so req/s across runs is directly comparable.
@@ -31,10 +37,9 @@
    nonzero if concurrency (or the wire, or the write path) ever changed
    an answer within an epoch.
 
-   Each local run owns a private pool sized by --jobs (default: client
-   count capped at the hardware's recommended domain count).  Fleet
-   workers execute requests inline on their connection threads — fleet
-   scaling comes from processes, not domains. *)
+   Every request executes inline on the domain or thread that issued it:
+   local runs scale with the workload's client domains, fleet workers
+   with their connection threads and processes. *)
 
 open Cmdliner
 module Cli = Xmark_core.Cli
@@ -130,26 +135,18 @@ let resolve_write_targets ~auctions ~persons writer =
   ( (if auctions > 0 then auctions else auto_a),
     (if persons > 0 then persons else auto_p) )
 
-(* One (system, client-count) cell: private pool, a server fresh from
-   [make_server] (read-only case) or wrapping the shared writer. *)
-let run_one ~jobs ~requests ~mix ~write_targets ~deadline ~max_inflight
+(* One (system, client-count) cell: a server fresh from [make_server]
+   (read-only case) or wrapping the shared writer. *)
+let run_one ~requests ~mix ~write_targets ~deadline ~max_inflight
     ~queue_depth ~plan_cache ~seed ~make_server nclients =
-  let njobs =
-    if jobs > 0 then jobs
-    else min nclients (Domain.recommended_domain_count ())
-  in
   let config =
     server_config ~nclients ~max_inflight ~queue_depth ~deadline ~plan_cache
   in
-  let drive ?pool () =
-    let server = make_server ?pool ~config () in
-    let report =
-      Workload.run ?seed ?write_targets ~clients:nclients ~requests ~mix server
-    in
-    (report, Server.totals server, njobs)
+  let server = make_server ~config in
+  let report =
+    Workload.run ?seed ?write_targets ~clients:nclients ~requests ~mix server
   in
-  if njobs > 1 then Xmark_parallel.with_pool ~jobs:njobs (fun pool -> drive ~pool ())
-  else drive ()
+  (report, Server.totals server)
 
 (* --- JSON rendering -------------------------------------------------------- *)
 
@@ -174,14 +171,14 @@ let class_json (c : Workload.class_stats) =
     (Timing.Histogram.max_ms c.Workload.cs_hist)
     (Hashtbl.length c.Workload.cs_digests) c.Workload.cs_digest_mismatches
 
-let run_json (r : Workload.report) (totals : Server.totals) njobs =
+let run_json ((r : Workload.report), (totals : Server.totals)) =
   Printf.sprintf
-    "{\"clients\": %d, \"jobs\": %d, \"requests\": %d, \"ok\": %d, \"committed\": %d, \
+    "{\"clients\": %d, \"requests\": %d, \"ok\": %d, \"committed\": %d, \
      \"timeouts\": %d, \"rejected\": %d, \"conflicts\": %d, \"failed\": %d, \
      \"digest_mismatches\": %d, \"elapsed_s\": %.3f, \"rps\": %.1f, \
      \"plan_hits\": %d, \"plan_misses\": %d, \"latency_ms\": %s, \
      \"write_latency_ms\": %s, \"per_query\": [%s]}"
-    r.Workload.r_clients njobs r.Workload.r_requests r.Workload.r_ok
+    r.Workload.r_clients r.Workload.r_requests r.Workload.r_ok
     r.Workload.r_committed r.Workload.r_timeouts r.Workload.r_rejected
     r.Workload.r_conflicts r.Workload.r_failed r.Workload.r_digest_mismatches
     r.Workload.r_elapsed_s r.Workload.r_rps totals.Server.plan_hits
@@ -216,7 +213,7 @@ let check_digests label runs =
   let seen : (string * int, string) Hashtbl.t = Hashtbl.create 64 in
   let bad = ref 0 in
   List.iter
-    (fun (r, _, _) ->
+    (fun (r, _) ->
       bad := !bad + r.Workload.r_digest_mismatches;
       List.iter
         (fun (c : Workload.class_stats) ->
@@ -262,14 +259,13 @@ let sweep_socket ~label ~clients ~requests ~mix ~write_targets ~seed ~factor
             (Wire.Client.transport addr)
         in
         Format.printf "%a%!" Workload.pp_report report;
-        (report, zero_totals, 0))
+        (report, zero_totals))
       clients
   in
   let mismatches = check_digests label runs in
   let sys_obj =
     Printf.sprintf "{\"system\": \"%s\", \"runs\": [%s]}" label
-      (String.concat ", "
-         (List.map (fun (r, totals, njobs) -> run_json r totals njobs) runs))
+      (String.concat ", " (List.map run_json runs))
   in
   write_stats_json ~factor ~mix ~deadline ~requests
     ~transport:(Wire.Addr.to_string addr) [ sys_obj ] stats_json_file;
@@ -277,7 +273,7 @@ let sweep_socket ~label ~clients ~requests ~mix ~write_targets ~seed ~factor
      not — e.g. --connect against an address nobody serves *)
   if
     List.for_all
-      (fun (r, _, _) -> r.Workload.r_ok + r.Workload.r_committed = 0)
+      (fun (r, _) -> r.Workload.r_ok + r.Workload.r_committed = 0)
       runs
   then begin
     Printf.eprintf "FAIL: no request succeeded against %s\n"
@@ -529,7 +525,7 @@ let shards_mode ~k ~factor ~doc ~systems ~max_inflight ~queue_depth ~deadline
 
 (* --- local (in-process) sweeps --------------------------------------------- *)
 
-let local_mode ~factor ~jobs ~clients ~requests ~mix ~deadline ~max_inflight
+let local_mode ~factor ~clients ~requests ~mix ~deadline ~max_inflight
     ~queue_depth ~plan_cache ~seed ~systems ~doc ~snapshot ~stats_json_file =
   let mismatches = ref 0 in
   let sys_objs =
@@ -541,11 +537,10 @@ let local_mode ~factor ~jobs ~clients ~requests ~mix ~deadline ~max_inflight
         let runs =
           List.map
             (fun nclients ->
-              let ((report, _, _) as cell) =
-                run_one ~jobs ~requests ~mix ~write_targets:None ~deadline
+              let ((report, _) as cell) =
+                run_one ~requests ~mix ~write_targets:None ~deadline
                   ~max_inflight ~queue_depth ~plan_cache ~seed
-                  ~make_server:(fun ?pool ~config () ->
-                    Server.create ?pool ~config session)
+                  ~make_server:(fun ~config -> Server.create ~config session)
                   nclients
               in
               Format.printf "%a%!" Workload.pp_report report;
@@ -555,8 +550,7 @@ let local_mode ~factor ~jobs ~clients ~requests ~mix ~deadline ~max_inflight
         mismatches :=
           !mismatches + check_digests ("System " ^ letter sys) runs;
         Printf.sprintf "{\"system\": \"%s\", \"runs\": [%s]}" (letter sys)
-          (String.concat ", "
-             (List.map (fun (r, totals, njobs) -> run_json r totals njobs) runs)))
+          (String.concat ", " (List.map run_json runs)))
       systems
   in
   write_stats_json ~factor ~mix ~deadline ~requests ~transport:"local" sys_objs
@@ -567,7 +561,7 @@ let local_mode ~factor ~jobs ~clients ~requests ~mix ~deadline ~max_inflight
    every client count — state accumulates across runs exactly like a
    long-lived service, and epochs keep increasing, so the per-epoch
    digest gate spans the whole sweep. *)
-let local_wal_mode ~factor ~jobs ~clients ~requests ~mix ~deadline
+let local_wal_mode ~factor ~clients ~requests ~mix ~deadline
     ~max_inflight ~queue_depth ~plan_cache ~seed ~systems ~doc ~snapshot
     ~auctions ~persons ~dir ~stats_json_file =
   if snapshot <> None then
@@ -588,12 +582,11 @@ let local_wal_mode ~factor ~jobs ~clients ~requests ~mix ~deadline
       let runs =
         List.map
           (fun nclients ->
-            let ((report, _, _) as cell) =
-              run_one ~jobs ~requests ~mix
+            let ((report, _) as cell) =
+              run_one ~requests ~mix
                 ~write_targets:(Some (n_auctions, n_persons))
                 ~deadline ~max_inflight ~queue_depth ~plan_cache ~seed
-                ~make_server:(fun ?pool ~config () ->
-                  Server.create_writable ?pool ~config writer)
+                ~make_server:(fun ~config -> Server.create_writable ~config writer)
                 nclients
             in
             Format.printf "%a%!" Workload.pp_report report;
@@ -605,8 +598,7 @@ let local_wal_mode ~factor ~jobs ~clients ~requests ~mix ~deadline
         (Writer.last_lsn writer);
       let sys_obj =
         Printf.sprintf "{\"system\": \"%s-wal\", \"runs\": [%s]}" (letter sys)
-          (String.concat ", "
-             (List.map (fun (r, totals, njobs) -> run_json r totals njobs) runs))
+          (String.concat ", " (List.map run_json runs))
       in
       write_stats_json ~factor ~mix ~deadline ~requests ~transport:"local"
         [ sys_obj ] stats_json_file;
@@ -633,7 +625,7 @@ let checkpoint_mode ~factor ~doc ~systems ~dir =
           Printf.eprintf "checkpoint failed: %s\n" (Server.error_to_string e);
           1)
 
-let run factor jobs clients requests mix_s deadline max_inflight queue_depth
+let run factor clients requests mix_s deadline max_inflight queue_depth
     plan_cache seed systems doc snapshot stats_json_file listen connect fleet
     wal auctions persons shards checkpoint =
   try
@@ -690,7 +682,7 @@ let run factor jobs clients requests mix_s deadline max_inflight queue_depth
     | None, None -> (
         match wal with
         | Some dir ->
-            local_wal_mode ~factor ~jobs ~clients ~requests ~mix ~deadline
+            local_wal_mode ~factor ~clients ~requests ~mix ~deadline
               ~max_inflight ~queue_depth ~plan_cache ~seed ~systems ~doc
               ~snapshot ~auctions ~persons ~dir ~stats_json_file
         | None ->
@@ -698,7 +690,7 @@ let run factor jobs clients requests mix_s deadline max_inflight queue_depth
               failwith
                 "a write mix needs a write path: give --wal DIR (local) or \
                  --connect to a writable server";
-            local_mode ~factor ~jobs ~clients ~requests ~mix ~deadline
+            local_mode ~factor ~clients ~requests ~mix ~deadline
               ~max_inflight ~queue_depth ~plan_cache ~seed ~systems ~doc
               ~snapshot ~stats_json_file)
   with
@@ -714,16 +706,6 @@ let run factor jobs clients requests mix_s deadline max_inflight queue_depth
   | Runner.Unsupported m ->
       Printf.eprintf "unsupported: %s\n" m;
       3
-
-let jobs_serve =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domain-pool size for request execution; 0 (the default) sizes the pool to \
-           the run's client count capped at the hardware's recommended domain count \
-           (a size of 1 executes requests inline on the workload's runner domains).")
 
 let wal_arg =
   Arg.(
@@ -771,7 +753,7 @@ let cmd =
     Term.(
       const run
       $ Cli.factor ~default:0.01 ()
-      $ jobs_serve $ Cli.clients $ Cli.duration_requests $ Cli.mix
+      $ Cli.clients $ Cli.duration_requests $ Cli.mix
       $ Cli.deadline_ms $ Cli.max_inflight $ Cli.queue_depth $ Cli.plan_cache
       $ Cli.seed $ Cli.systems $ Cli.doc_file $ Cli.snapshot $ Cli.stats_json
       $ Cli.listen $ Cli.connect $ Cli.fleet $ wal_arg $ auctions_arg

@@ -32,10 +32,9 @@ let print_summary doc =
     (Xmark_store.Summary.build (MM.dom_root store))
 
 let run doc_file snapshot save_snapshot factor system query query_file query_number show_timing
-    canonical_out warn summary explain no_vec jobs =
-  if explain then Xmark_core.Stats.enable ();
+    canonical_out warn summary explain no_vec =
+  if explain then Xmark_stats.enable ();
   Cli.install_no_vec no_vec;
-  let pool = Cli.pool_of_jobs jobs in
   let source, doc =
     match snapshot with
     | Some path -> (`Snapshot path, None)
@@ -49,7 +48,7 @@ let run doc_file snapshot save_snapshot factor system query query_file query_num
             let doc = Xmark_xmlgen.Generator.to_string ~factor () in
             (`Text doc, Some doc))
   in
-  let session = Xmark_core.Runner.load ?pool ~source system in
+  let session = Xmark_core.Runner.load ~source system in
   let store = session.Xmark_core.Runner.store in
   let stats = session.Xmark_core.Runner.load_stats in
   if show_timing then
@@ -60,7 +59,7 @@ let run doc_file snapshot save_snapshot factor system query query_file query_num
   | Some out ->
       let (), span =
         Xmark_core.Timing.measure (fun () ->
-            Xmark_core.Runner.save_snapshot ?pool session out)
+            Xmark_core.Runner.save_snapshot session out)
       in
       Printf.eprintf "wrote snapshot %s in %.1f ms\n%!" out span.Xmark_core.Timing.wall_ms);
   let qtext_for_warning =
@@ -113,15 +112,15 @@ let run doc_file snapshot save_snapshot factor system query query_file query_num
     print_endline (Xmark_xml.Serialize.fragment_to_string outcome.Xmark_core.Runner.result);
   (* stats go to stderr so the result on stdout stays byte-identical with
      and without --explain *)
-  if explain then Format.eprintf "%a@?" Xmark_core.Stats.pp ();
+  if explain then Format.eprintf "%a@?" Xmark_stats.pp ();
   0
 
 (* exit-code contract (README "Exit codes"): 1 = data/evaluation error,
    2 = bad invocation (cmdliner's own), 3 = valid query the selected
    system cannot run — distinct so scripts can tell "broken" from
    "unsupported on this backend". *)
-let run_safe a b c d e f g h i j k l m n o =
-  try run a b c d e f g h i j k l m n o with
+let run_safe a b c d e f g h i j k l m n =
+  try run a b c d e f g h i j k l m n with
   | Xmark_xquery.Parser.Error _ as ex ->
       Printf.eprintf "%s\n" (Xmark_xquery.Parser.describe_error "" ex);
       1
@@ -173,6 +172,6 @@ let cmd =
       $ Cli.factor ~default:0.005 ()
       $ Cli.system ~default:Xmark_core.Runner.D ()
       $ query_arg $ query_file_arg $ number_arg $ timing_arg $ canonical_arg $ warn_arg
-      $ summary_arg $ Cli.explain $ Cli.no_vec $ Cli.jobs)
+      $ summary_arg $ Cli.explain $ Cli.no_vec)
 
 let () = exit (Cmd.eval' cmd)

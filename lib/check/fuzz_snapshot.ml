@@ -10,7 +10,7 @@
      outcome for checksummed storage.
 
    The identity oracle uses the format's own write determinism: the same
-   payload encodes to byte-identical files at any jobs level, so
+   payload encodes to byte-identical files on every write, so
    re-encoding the decoded payload and comparing the digest against the
    base file's detects any drift without a payload-specific comparator. *)
 

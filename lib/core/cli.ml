@@ -81,15 +81,6 @@ let seed =
     & info [ "seed" ] ~docv:"SEED"
         ~doc:"Random seed; the default reproduces the canonical benchmark document.")
 
-let jobs =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Size of the domain pool for parallel execution; 1 (the default) runs everything \
-           sequentially.  Results are identical for any value.")
-
 let stats_json =
   Arg.(
     value
@@ -287,4 +278,3 @@ let shards =
            answer against the single-store digest.  0 (default) disables \
            sharding.")
 
-let pool_of_jobs n = if n > 1 then Some (Xmark_parallel.create ~jobs:n) else None

@@ -2,7 +2,7 @@
 
     Every binary (xmlgen, xquery_run, xmark_bench, xmark_verify) takes
     its common flags from here so they are spelled — and documented —
-    identically: [--factor]/[--scale], [--seed], [--jobs], [--stats-json],
+    identically: [--factor]/[--scale], [--seed], [--stats-json],
     [--explain], [--doc], [--snapshot]/[--save-snapshot],
     [--system]/[--systems], [--queries]. *)
 
@@ -27,9 +27,6 @@ val factor : ?default:float -> unit -> float Cmdliner.Term.t
 
 val seed : int option Cmdliner.Term.t
 (** [--seed]. *)
-
-val jobs : int Cmdliner.Term.t
-(** [-j] / [--jobs]; domain-pool size, default 1 (sequential). *)
 
 val stats_json : string option Cmdliner.Term.t
 (** [--stats-json FILE]. *)
@@ -100,10 +97,6 @@ val shards : int Cmdliner.Term.t
     sharding. *)
 
 (* --- wiring --------------------------------------------------------------- *)
-
-val pool_of_jobs : int -> Xmark_parallel.pool option
-(** A pool of [n] slots for [--jobs n]; [None] when [n <= 1], meaning
-    sequential execution everywhere. *)
 
 val install_no_vec : bool -> unit
 (** Apply [--no-vec]: when true, switch

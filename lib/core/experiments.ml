@@ -6,6 +6,8 @@
     in-memory reimplementation rather than the original products on
     550 MHz Pentium III hardware (see EXPERIMENTS.md). *)
 
+module Stats = Xmark_stats
+
 let default_factor =
   match Sys.getenv_opt "XMARK_FACTOR" with
   | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 0.01)
@@ -406,14 +408,12 @@ type stats_cell = {
 }
 
 (* Run the full (system, query) matrix, one freshly loaded store per
-   cell so cells are independent of execution order, optionally fanning
-   cells out over a domain pool.  The source defaults to a generated
-   document at [factor]; passing [`Snapshot path] benchmarks restored
-   sessions instead.  Cells come back in (system, query) order together
-   with the merged counter totals for the whole matrix (loads included);
-   results, per-cell counters and totals are identical for any pool
-   size — only the wall-clock timings differ. *)
-let matrix ?(factor = default_factor) ?source ?pool ?(systems = Runner.all_systems)
+   cell so cells are independent of execution order.  The source
+   defaults to a generated document at [factor]; passing [`Snapshot path]
+   benchmarks restored sessions instead.  Cells come back in (system,
+   query) order together with the merged counter totals for the whole
+   matrix (loads included). *)
+let matrix ?(factor = default_factor) ?source ?(systems = Runner.all_systems)
     ?(queries = List.init 20 (fun i -> i + 1)) () =
   let src =
     match source with Some s -> s | None -> `Text (document factor)
@@ -424,10 +424,7 @@ let matrix ?(factor = default_factor) ?source ?pool ?(systems = Runner.all_syste
     ~finally:(fun () -> Stats.set_enabled was)
     (fun () ->
       let snap = Stats.snapshot () in
-      let cells =
-        List.concat_map (fun sys -> List.map (fun q -> (sys, q)) queries) systems
-      in
-      let run_cell (sys, q) =
+      let run_cell sys q =
         let lsnap = Stats.snapshot () in
         let session = Runner.load ~source:src sys in
         let load_counters = Stats.since lsnap in
@@ -445,16 +442,13 @@ let matrix ?(factor = default_factor) ?source ?pool ?(systems = Runner.all_syste
         }
       in
       let results =
-        match pool with
-        | Some p when Xmark_parallel.jobs p > 1 -> Xmark_parallel.map p run_cell cells
-        | _ -> List.map run_cell cells
+        List.concat_map (fun sys -> List.map (fun q -> run_cell sys q) queries) systems
       in
       (results, Stats.since snap))
 
 (* GC counters measure the environment (collector scheduling), not the
    computation, so they are the one part of a stats dump that
-   legitimately differs between sequential and parallel runs of the same
-   matrix. *)
+   legitimately differs between two runs of the same matrix. *)
 let environmental (name, _) = String.starts_with ~prefix:"gc_" name
 
 let merge_counters lists =
@@ -492,7 +486,7 @@ let matrix_digest ~factor (cells, _totals) =
     (pp_counters (merge_counters (List.map (fun c -> c.sc_counters) cells)));
   Buffer.contents buf
 
-let stats_json ?(jobs = 1) ~factor cells =
+let stats_json ~factor cells =
   (* group per system, preserving the order cells arrived in *)
   let systems = ref [] in
   List.iter
@@ -520,7 +514,7 @@ let stats_json ?(jobs = 1) ~factor cells =
             cells))
   in
   Printf.sprintf "{\"provenance\": %s, \"factor\": %g, \"systems\": [%s]}\n"
-    (Provenance.json ~factor ~jobs ~runs:1 ())
+    (Provenance.json ~factor ~jobs:1 ~runs:1 ())
     factor
     (String.concat ", " (List.map sys_obj (List.rev !systems)))
 

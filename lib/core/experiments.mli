@@ -102,7 +102,7 @@ type stats_cell = {
   sc_load_ms : float;  (** bulkload (or snapshot restore) wall time *)
   sc_compile_ms : float;
   sc_execute_ms : float;
-  sc_counters : (string * int) list;  (** per-run {!Stats} counter deltas *)
+  sc_counters : (string * int) list;  (** per-run {!Xmark_stats} counter deltas *)
   sc_load_counters : (string * int) list;
       (** counter deltas of this cell's load phase — [sax_events] for a
           parse, [pager_*]/[snapshot_bytes] for a restore *)
@@ -112,38 +112,36 @@ type stats_cell = {
 val matrix :
   ?factor:float ->
   ?source:Runner.source ->
-  ?pool:Xmark_parallel.pool ->
   ?systems:Runner.system list ->
   ?queries:int list ->
   unit ->
   stats_cell list * (string * int) list
-(** Run every (system, query) cell with {!Stats} enabled, each cell on a
+(** Run every (system, query) cell with {!Xmark_stats} enabled, each cell on a
     freshly loaded store so cells are independent of execution order.
     [source] defaults to a generated document at [factor]; pass
-    [`Snapshot path] to benchmark restored sessions instead.  With a
-    multi-domain [pool] the cells fan out over its domains.  Returns the
-    cells in (system, query) order plus the merged counter totals of the
-    whole matrix (bulkloads included).  Everything except wall-clock
-    timings and GC counters is byte-identical for any pool size —
+    [`Snapshot path] to benchmark restored sessions instead.  Returns
+    the cells in (system, query) order plus the merged counter totals of
+    the whole matrix (bulkloads included).  Everything except wall-clock
+    timings and GC counters is byte-identical from run to run —
     {!matrix_digest} is that determinism contract made checkable.  The
-    previous enabled/disabled state of {!Stats} is restored on
+    previous enabled/disabled state of {!Xmark_stats} is restored on
     return. *)
 
 val matrix_digest : factor:float -> stats_cell list * (string * int) list -> string
 (** Deterministic text form of a {!matrix} result: per-cell result
     digests, item counts and counters, plus merged run-phase totals —
     excluding timings, environmental (GC) counters, and
-    load-phase counters, so sequential/parallel and parsed/restored
-    runs of the same matrix render byte-identical digests. *)
+    load-phase counters, so repeated and parsed/restored runs of the
+    same matrix render byte-identical digests. *)
 
-val stats_json : ?jobs:int -> factor:float -> stats_cell list -> string
+val stats_json : factor:float -> stats_cell list -> string
 (** Render the cells of a {!matrix} as JSON — the machine-readable form
     of the Section 7 discussion: per-system, per-query counter objects with
-    a stable key set ({!Stats.counter_inventory}), each cell carrying
+    a stable key set ({!Xmark_stats.counter_inventory}), each cell carrying
     both its run counters ("counters") and its load-phase counters and
     time ("load", "load_ms") — which is where a snapshot restore's
     pager hit/miss behaviour shows up.  The leading "provenance" object
-    ({!Provenance.json}) records factor, [jobs] (default 1) and the git
+    ({!Provenance.json}) records factor, [jobs] (always 1) and the git
     commit, making the dump self-describing. *)
 
 (* --- CSV export ---------------------------------------------------------------- *)

@@ -1,7 +1,6 @@
 module Dom = Xmark_xml.Dom
 module Canonical = Xmark_xml.Canonical
 module Sax = Xmark_xml.Sax
-module Stats = Xmark_stats
 
 type op = Run of int | Collect of string
 
@@ -409,24 +408,3 @@ let gather q parts =
   | 19 -> ordered_merge_gather parts q
   | 20 -> sum_parts_gather parts q
   | _ -> concat_gather parts q
-
-let scatter_gather ~shards ~run q =
-  if shards <= 0 then invalid_arg "Merge.scatter_gather: shards must be positive";
-  let ops_l = ops q in
-  let parts =
-    List.map
-      (fun op ->
-        List.init shards (fun s ->
-          let items = run s op in
-          Stats.incr "partials_merged";
-          (match op with
-          | Collect _ ->
-              Stats.incr
-                ~by:(List.fold_left (fun a i -> a + String.length i) 0 items)
-                "broadcast_bytes"
-          | Run _ -> ());
-          items))
-      ops_l
-  in
-  Stats.incr ~by:shards "shards_queried";
-  gather q parts

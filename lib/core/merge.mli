@@ -52,14 +52,3 @@ val gather : int -> string list list list -> int * string
     {!Runner.canonical} of the single-store outcome.
     @raise Invalid_argument when [parts] does not match [ops q]'s
     shape. *)
-
-val scatter_gather :
-  shards:int -> run:(int -> op -> string list) -> int -> int * string
-(** [scatter_gather ~shards ~run q] drives one sharded execution:
-    evaluates every op of [ops q] on every shard through [run]
-    (called as [run shard op], returning per-item canonical strings)
-    and gathers.  Shards are consulted in order for each op;
-    exceptions from [run] propagate (so a worker failure aborts the
-    whole query — no partial answer leaks).  Accounts
-    [shards_queried], [partials_merged] and [broadcast_bytes] to
-    {!Xmark_stats}. *)

@@ -1,8 +1,8 @@
 (** Provenance headers for benchmark artifacts.
 
     [BENCH_*.json] files and [--stats-json] dumps are meant to be diffed
-    across builds; the provenance object records the scale factor, pool
-    size, repetition count and git commit that produced one, so the file
+    across builds; the provenance object records the scale factor, job
+    count, repetition count and git commit that produced one, so the file
     is self-describing. *)
 
 val commit : unit -> string

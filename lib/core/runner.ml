@@ -1,6 +1,7 @@
 module Xml = Xmark_xml
 module Store = Xmark_store
 module R = Xmark_relational
+module Stats = Xmark_stats
 
 type system = A | B | C | D | E | F | G
 
@@ -75,9 +76,9 @@ let rec heap_dom s n =
         ~children:(List.map (heap_dom s) (Store.Backend_heap.children s n))
         (Store.Backend_heap.name s n)
 
-let rec load ?pool ~(source : source) sys =
+let rec load ~(source : source) sys =
   match source with
-  | `Snapshot path -> load_snapshot ?pool ~path sys
+  | `Snapshot path -> load_snapshot ~path sys
   | (`File _ | `Text _ | `Dom _) as source -> (
   let text () =
     match source with
@@ -104,8 +105,8 @@ let rec load ?pool ~(source : source) sys =
         let s, load =
           measure_load (fun () ->
               match source with
-              | `Dom d -> Store.Backend_shredded.load_dom ?pool d
-              | `Text _ | `File _ -> Store.Backend_shredded.load_string ?pool (text ()))
+              | `Dom d -> Store.Backend_shredded.load_dom d
+              | `Text _ | `File _ -> Store.Backend_shredded.load_string (text ()))
         in
         ( SB s,
           {
@@ -117,8 +118,8 @@ let rec load ?pool ~(source : source) sys =
         let s, load =
           measure_load (fun () ->
               match source with
-              | `Dom d -> Store.Backend_schema.load_dom ?pool d
-              | `Text _ | `File _ -> Store.Backend_schema.load_string ?pool (text ()))
+              | `Dom d -> Store.Backend_schema.load_dom d
+              | `Text _ | `File _ -> Store.Backend_schema.load_string (text ()))
         in
         ( SC s,
           {
@@ -152,15 +153,15 @@ let rec load ?pool ~(source : source) sys =
    pager/snapshot counters and the (much smaller) restore time land
    where the parse-and-shred cost would have, so the two load paths
    compare directly in --stats-json. *)
-and load_snapshot ?pool ~path sys =
+and load_snapshot ~path sys =
   let (_, payload), read_span =
-    measure_load (fun () -> Xmark_persist.Snapshot.read ?pool path)
+    measure_load (fun () -> Xmark_persist.Snapshot.read path)
   in
   let add_read stats = { stats with load = Timing.add read_span stats.load } in
   match (payload, sys) with
   | Xmark_persist.Snapshot.Relational_b img, B ->
       let s, build =
-        measure_load (fun () -> Store.Backend_shredded.of_image ?pool img)
+        measure_load (fun () -> Store.Backend_shredded.of_image img)
       in
       {
         system = B;
@@ -175,7 +176,7 @@ and load_snapshot ?pool ~path sys =
       }
   | Xmark_persist.Snapshot.Relational_c tables, C ->
       let s, build =
-        measure_load (fun () -> Store.Backend_schema.of_tables ?pool tables)
+        measure_load (fun () -> Store.Backend_schema.of_tables tables)
       in
       {
         system = C;
@@ -189,10 +190,10 @@ and load_snapshot ?pool ~path sys =
             };
       }
   | Xmark_persist.Snapshot.Dom d, _ ->
-      let session = load ?pool ~source:(`Dom d) sys in
+      let session = load ~source:(`Dom d) sys in
       { session with load_stats = add_read session.load_stats }
   | Xmark_persist.Snapshot.Text doc, _ ->
-      let session = load ?pool ~source:(`Text doc) sys in
+      let session = load ~source:(`Text doc) sys in
       { session with load_stats = add_read session.load_stats }
   | Xmark_persist.Snapshot.Relational_b _, _ ->
       raise
@@ -205,7 +206,7 @@ and load_snapshot ?pool ~path sys =
            (Printf.sprintf
               "%s holds a System C relational image; load it with System C" path))
 
-let save_snapshot ?pool session path =
+let save_snapshot session path =
   let payload =
     match session.store with
     | SB s -> Xmark_persist.Snapshot.Relational_b (Store.Backend_shredded.to_image s)
@@ -218,7 +219,7 @@ let save_snapshot ?pool session path =
     match session.system with
     | A -> 'A' | B -> 'B' | C -> 'C' | D -> 'D' | E -> 'E' | F -> 'F' | G -> 'G'
   in
-  Xmark_persist.Snapshot.write ?pool ~path ~system payload
+  Xmark_persist.Snapshot.write ~path ~system payload
 
 let adopt_mainmem s =
   let system =
@@ -402,32 +403,3 @@ let run_session session n = run session.store n
 let run_text_session session qtext = run_text session.store qtext
 
 let canonical outcome = Xml.Canonical.of_nodes outcome.result
-
-(* --- sharded sessions ---------------------------------------------------- *)
-
-type sharded = session array
-
-let shard_sessions sessions =
-  if Array.length sessions = 0 then
-    invalid_arg "Runner.shard_sessions: empty shard list";
-  let sys = sessions.(0).system in
-  Array.iter
-    (fun s ->
-      if s.system <> sys then
-        invalid_arg "Runner.shard_sessions: shards must share one system")
-    sessions;
-  sessions
-
-let shard_count (s : sharded) = Array.length s
-
-let run_sharded (shards : sharded) q =
-  Merge.scatter_gather ~shards:(Array.length shards)
-    ~run:(fun i op ->
-      let store = shards.(i).store in
-      let outcome =
-        match op with
-        | Merge.Run n -> run store n
-        | Merge.Collect text -> run_text store text
-      in
-      List.map Xml.Canonical.of_node outcome.result)
-    q

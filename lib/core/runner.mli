@@ -42,7 +42,7 @@ type session = {
 }
 (** A loaded system: the store together with how it was built. *)
 
-val load : ?pool:Xmark_parallel.pool -> source:source -> system -> session
+val load : source:source -> system -> session
 (** [load ~source sys] bulkloads [sys] from [source].  Backends that
     can't start from the given form convert first (System G always keeps
     the serialized document; relational systems parse a [`File]/[`Text]
@@ -52,20 +52,15 @@ val load : ?pool:Xmark_parallel.pool -> source:source -> system -> session
     {!Xmark_store.Backend_schema.of_tables} and DOM/text payloads resume
     at the matching load stage — the restored session is structurally
     identical to one loaded from the original document, and
-    [load_stats.load] covers read + rebuild.  With a multi-domain
-    [pool], Systems B and C bulkload in parallel and snapshot sections
-    decode in parallel; the resulting store is identical to a sequential
-    load's.
+    [load_stats.load] covers read + rebuild.
     @raise Xmark_persist.Corrupt on a damaged or truncated snapshot.
     @raise Unsupported when a relational snapshot targets the wrong
     system. *)
 
-val save_snapshot : ?pool:Xmark_parallel.pool -> session -> string -> unit
+val save_snapshot : session -> string -> unit
 (** [save_snapshot session path] writes the session's store to a
     checksummed paged snapshot file: the relational image for Systems B
-    and C, the DOM for A and D-F, the serialized document for G.  With a
-    multi-domain [pool], sections encode in parallel; the file bytes are
-    identical at any pool size. *)
+    and C, the DOM for A and D-F, the serialized document for G. *)
 
 val adopt_mainmem : Xmark_store.Backend_mainmem.t -> session
 (** Wrap an already-built main-memory store as a session (system D, E or
@@ -81,8 +76,8 @@ type outcome = {
   metadata_accesses : int;  (** catalog entries touched during compilation *)
   run_stats : (string * int) list;
       (** execution-statistics deltas (counter, value) accumulated by this
-          run across compile and execute — see {!Stats}; [[]] unless
-          [Stats.enable] was called *)
+          run across compile and execute — see {!Xmark_stats}; [[]] unless
+          [Xmark_stats.enable] was called *)
 }
 
 exception Unsupported of string
@@ -153,27 +148,3 @@ val run_text_session : session -> string -> outcome
 
 val canonical : outcome -> string
 (** Canonical result form for cross-system comparison. *)
-
-(** {2 Sharded sessions}
-
-    K sessions over contiguous entity slices of one document (see
-    {!Xmark_shard.Partitioner}) answered scatter-gather through the
-    per-query merge plans of {!Merge}.  This is the in-process shape of
-    sharded execution; the wire path ({!Xmark_shard.Scatter}) fans the
-    same ops out to a fleet of shard workers instead. *)
-
-type sharded
-
-val shard_sessions : session array -> sharded
-(** Wrap per-shard sessions, in shard order.
-    @raise Invalid_argument on an empty array or mixed systems. *)
-
-val shard_count : sharded -> int
-
-val run_sharded : sharded -> int -> int * string
-(** [run_sharded s q] executes benchmark query [q] scatter-gather over
-    the shards and returns (item count, canonical form); the canonical
-    form is byte-identical to {!canonical} of the single-store outcome.
-    @raise Unsupported on System C for the join queries Q8-Q12, whose
-    gather needs ad-hoc side-queries C cannot execute.
-    @raise Invalid_argument for an unknown query number. *)

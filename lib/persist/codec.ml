@@ -50,8 +50,7 @@ let add_table b tbl =
 (* The element-name dictionary for a DOM section: every distinct tag in
    pre-order first-use order.  Indexes are derived from document content
    alone — never from global symbol ids, which depend on interning
-   history — so the encoded bytes are identical across runs and [--jobs]
-   levels. *)
+   history — so the encoded bytes are identical across runs. *)
 type symdict = {
   sd_names : string list;  (* first-use order *)
   sd_index : (Symbol.t, int) Hashtbl.t;

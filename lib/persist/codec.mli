@@ -38,7 +38,7 @@ type symdict
 (** Element-name dictionary for a DOM section: every distinct tag in
     pre-order first-use order.  Indexes derive from document content
     alone (never from global symbol ids), so encoded bytes are identical
-    across runs and [--jobs] levels. *)
+    across runs. *)
 
 val symdict_of_dom : Xmark_xml.Dom.node -> symdict
 

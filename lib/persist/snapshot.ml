@@ -22,12 +22,6 @@ let kind_tag = function
   | Relational_c _ -> 2
   | Text _ -> 3
 
-(* Order-preserving map, parallel when a multi-job pool is at hand. *)
-let pmap pool f xs =
-  match pool with
-  | Some p when Xmark_parallel.jobs p > 1 -> Xmark_parallel.map p f xs
-  | _ -> List.map f xs
-
 let rep n f =
   if n < 0 then corrupt "snapshot: negative count %d" n;
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f () :: acc) in
@@ -47,8 +41,6 @@ let split_at n xs =
 
 let sections_of_payload = function
   | Dom root ->
-      (* dictionary built eagerly so the section closures stay pure reads
-         under a parallel encode *)
       let dict = Codec.symdict_of_dom root in
       [
         ("symdict", fun b -> Codec.add_symdict b dict);
@@ -93,18 +85,9 @@ let header_len_for encoded =
   34 + 4
   + List.fold_left (fun acc (n, _, _) -> acc + 24 + String.length n) 0 encoded
 
-let write ?pool ~path ~system payload =
-  (* Sealing up front keeps encoding a pure read, so sections can encode
-     on worker domains without racing on lazy seals. *)
-  (match payload with
-  | Relational_c tables -> List.iter R.Table.seal tables
-  | Relational_b img ->
-      R.Table.seal img.bi_text;
-      List.iter R.Table.seal img.bi_tag_tables;
-      List.iter (fun (_, t) -> R.Table.seal t) img.bi_attr_tables
-  | Dom _ | Text _ -> ());
+let write ~path ~system payload =
   let encoded =
-    pmap pool
+    List.map
       (fun (name, enc) ->
         let b = Buffer.create 65536 in
         enc b;
@@ -143,15 +126,14 @@ let write ?pool ~path ~system payload =
   Codec.add_u32 hb (Crc32.digest (Buffer.contents hb));
   assert (Buffer.length hb = header_len);
   let header_bytes = paginate ~first_page:0 (Buffer.contents hb) in
-  let runs =
-    pmap pool (fun (_, blob, _, first, _) -> paginate ~first_page:first blob) entries
-  in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_bytes oc header_bytes;
-      List.iter (output_bytes oc) runs)
+      List.iter
+        (fun (_, blob, _, first, _) -> output_bytes oc (paginate ~first_page:first blob))
+        entries)
 
 (* --- read ----------------------------------------------------------------- *)
 
@@ -232,7 +214,7 @@ let decode_table (name, blob) =
   Codec.finish d;
   (name, t)
 
-let decode_payload ?pool path kind blobs =
+let decode_payload path kind blobs =
   match (kind, blobs) with
   | 0, [ ("symdict", sblob); ("dom", blob) ] ->
       let sd = Codec.decoder sblob in
@@ -250,7 +232,7 @@ let decode_payload ?pool path kind blobs =
       Text s
   | 2, _ ->
       let tables =
-        pmap pool decode_table blobs
+        List.map decode_table blobs
         |> List.map (fun (name, t) ->
                if name <> "table:" ^ R.Table.name t then
                  corrupt "%s: section %S holds table %S" path name
@@ -275,7 +257,7 @@ let decode_payload ?pool path kind blobs =
           if want <> got then
             corrupt "%s: expected section %S, found %S" path want got)
         expected rest;
-      let decoded = List.map snd (pmap pool decode_table rest) in
+      let decoded = List.map (fun s -> snd (decode_table s)) rest in
       let bi_text, more =
         match decoded with
         | t :: more -> (t, more)
@@ -292,7 +274,7 @@ let decode_payload ?pool path kind blobs =
   | k, _ when k > 3 -> corrupt "%s: unknown payload kind %d" path k
   | _, _ -> corrupt "%s: malformed snapshot directory for payload kind %d" path kind
 
-let read ?pool ?capacity path =
+let read ?capacity path =
   let header_len = check_prelude path (read_prelude path) in
   let pager = Pager.open_file ?capacity path in
   Fun.protect
@@ -302,7 +284,7 @@ let read ?pool ?capacity path =
       then corrupt "%s: implausible header length %d" path header_len;
       let system, kind, entries = read_directory path pager header_len in
       let blobs = read_sections path pager entries in
-      (system, decode_payload ?pool path kind blobs))
+      (system, decode_payload path kind blobs))
 
 (* Header-only probe: everything a fleet parent needs to validate a
    snapshot before forking workers at it — system letter, payload kind,

@@ -3,8 +3,7 @@
 
     A snapshot holds one payload — the parsed DOM, the raw document
     text, or the relational image of System B (shredded) or System C
-    (schema-mapped) — split into named {e sections} so independent
-    parts (one table each) can be encoded and decoded in parallel.
+    (schema-mapped) — split into named {e sections}, one table each.
 
     {b File layout.}  The file is a whole number of
     {!Page_io.page_size}-byte pages, each carrying
@@ -18,9 +17,8 @@
     and whole-section CRC; a final CRC guards the header itself.
 
     {b Determinism.}  Section encoding order, page assignment and all
-    integer widths are fixed, and pool-parallel encoding uses
-    order-preserving maps — the same payload produces byte-identical
-    files at any [--jobs]. *)
+    integer widths are fixed — the same payload produces byte-identical
+    files. *)
 
 type b_image = {
   bi_tags : string list;  (** element tags, first-encounter order *)
@@ -39,13 +37,10 @@ type payload =
       (** the ten schema relations, catalog registration order *)
   | Text of string  (** raw document text *)
 
-val write :
-  ?pool:Xmark_parallel.pool -> path:string -> system:char -> payload -> unit
+val write : path:string -> system:char -> payload -> unit
 (** Encode, paginate and write the payload to [path] (truncating any
     existing file).  [system] is recorded in the header so a loader can
-    reject a snapshot replayed against the wrong backend.  With a pool
-    of more than one job, per-section encoding and pagination run as
-    pool tasks. *)
+    reject a snapshot replayed against the wrong backend. *)
 
 val probe : string -> char * string * int
 (** [(system, payload kind, payload bytes)] from the header and
@@ -57,8 +52,7 @@ val probe : string -> char * string * int
     @raise Page_io.Corrupt on truncation, bad magic, version mismatch,
     or a damaged header. *)
 
-val read :
-  ?pool:Xmark_parallel.pool -> ?capacity:int -> string -> char * payload
+val read : ?capacity:int -> string -> char * payload
 (** Read a snapshot back through a {!Pager} of [capacity] pages,
     returning the recorded system letter and the payload.  A restored
     DOM arrives document-order indexed; restored tables arrive sealed.

@@ -1,5 +1,4 @@
 module Runner = Xmark_core.Runner
-module Parallel = Xmark_parallel
 module Cancel = Xmark_xquery.Cancel
 module Stats = Xmark_stats
 
@@ -31,11 +30,9 @@ module Stats = Xmark_stats
    sees rejections by default (clients wait), but an open-loop caller
    gets typed backpressure instead of an unbounded queue.
 
-   Execution: the request body is dispatched onto the domain pool as a
-   future; the submitting client domain helps drain the pool queue while
-   awaiting, so clients are compute resources too.  Without a pool (or
-   with [jobs = 1]) the body runs inline on the client domain — with
-   several client domains that is still concurrent execution.
+   Execution: the request body runs inline on the calling domain or
+   thread; concurrency comes from the callers (client domains, wire
+   connection threads, fleet processes), never from inside one request.
 
    Deadlines: [deadline_ms] covers queue wait plus execution.  A read
    that is already late when it reaches the front is timed out before
@@ -102,7 +99,6 @@ type t = {
   scope : int option;  (* the shard this server serves, if any *)
   writer : Writer.t option;
   write_lock : Mutex.t;  (* serializes commit + publish *)
-  pool : Parallel.pool option;
   cfg : config;
   lock : Mutex.t;
   slot_free : Condition.t;
@@ -125,7 +121,7 @@ let clamp config =
     max_inflight = max 1 config.max_inflight;
     queue_depth = max 0 config.queue_depth }
 
-let make ?pool ?shard ~config ~writer ~epoch session =
+let make ?shard ~config ~writer ~epoch session =
   let config = clamp config in
   {
     scope = shard;
@@ -138,7 +134,6 @@ let make ?pool ?shard ~config ~writer ~epoch session =
         };
     writer;
     write_lock = Mutex.create ();
-    pool;
     cfg = config;
     lock = Mutex.create ();
     slot_free = Condition.create ();
@@ -155,11 +150,11 @@ let make ?pool ?shard ~config ~writer ~epoch session =
     retired_evictions = 0;
   }
 
-let create ?pool ?shard ?(config = default_config) session =
-  make ?pool ?shard ~config ~writer:None ~epoch:0 session
+let create ?shard ?(config = default_config) session =
+  make ?shard ~config ~writer:None ~epoch:0 session
 
-let create_writable ?pool ?(config = default_config) writer =
-  make ?pool ~config ~writer:(Some writer) ~epoch:(Writer.last_lsn writer)
+let create_writable ?(config = default_config) writer =
+  make ~config ~writer:(Some writer) ~epoch:(Writer.last_lsn writer)
     (Writer.publish writer)
 
 let session t = (Atomic.get t.current).ep_session
@@ -284,10 +279,8 @@ let submit_with ?deadline_ms ?partial_shard t ~key ~prepare =
               ~finally:(fun () -> Plan_cache.checkin ep.ep_cache key plan)
               (fun () -> Runner.execute_prepared plan)
           in
-          (* digest on the executing domain: canonicalization is real CPU
-             work, so it belongs on the pool, not the submitting client.
-             A scatter-gather leg also carries the per-item canonical
-             strings — the coordinator merges items, not digests. *)
+          (* a scatter-gather leg also carries the per-item canonical
+             strings — the coordinator merges items, not digests *)
           let payload =
             match partial_shard with
             | None -> []
@@ -303,13 +296,8 @@ let submit_with ?deadline_ms ?partial_shard t ~key ~prepare =
         | None -> body ()
         | Some ms -> Cancel.with_check (deadline_check ~t0 ~deadline_ms:ms) body
       in
-      let dispatch () =
-        match t.pool with
-        | Some pool when Parallel.jobs pool > 1 -> Parallel.await (Parallel.async pool work)
-        | _ -> work ()
-      in
       let elapsed () = Stats.ms_since t0 in
-      match dispatch () with
+      match work () with
       | items, digest, plan_hit, payload ->
           release t `Ok;
           Ok

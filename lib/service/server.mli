@@ -3,12 +3,9 @@
     A server owns a {e current} epoch — an immutable
     {!Xmark_core.Runner.session} plus its prepared-plan cache — and
     serves it to any number of client domains: {!handle} is thread-safe
-    and blocks only in the bounded admission queue.  Request bodies are
-    dispatched onto the {!Xmark_parallel} domain pool as futures —
-    awaiting clients help drain the pool queue, so a pool of N workers
-    serving M clients yields up to [N + M]-way execution.  Without a
-    pool, bodies run inline on the calling domain (still concurrent
-    across clients).
+    and blocks only in the bounded admission queue.  Request bodies run
+    inline on the calling domain, so M client domains give up to M-way
+    execution.
 
     {b Writes and isolation.}  A server created with
     {!create_writable} owns a {!Writer}: updates are serialized through
@@ -84,14 +81,12 @@ type totals = {
 type t
 
 val create :
-  ?pool:Xmark_parallel.pool ->
   ?shard:int ->
   ?config:config ->
   Xmark_core.Runner.session ->
   t
 (** A read-only server (epoch 0, no writer): updates get [Read_only].
-    The server borrows [pool] (caller shuts it down) and shares the
-    session's store across domains — stores are immutable on the query
+    The server shares the session's store across domains — stores are immutable on the query
     path, which is what makes this safe.
 
     [?shard] gives the server a {e shard scope}: its session holds
@@ -103,8 +98,7 @@ val create :
     Benchmark/text requests still work and answer over the shard's
     slice alone. *)
 
-val create_writable :
-  ?pool:Xmark_parallel.pool -> ?config:config -> Writer.t -> t
+val create_writable : ?config:config -> Writer.t -> t
 (** A server whose epoch 0..n come from [writer] (initial epoch =
     [Writer.last_lsn], so a recovered server resumes its numbering).
     The server takes over commit serialization; the caller must not

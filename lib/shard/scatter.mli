@@ -17,8 +17,8 @@
     failure, so a restarted worker serves the next query without
     rebuilding the coordinator.
 
-    Accounts the same {!Xmark_stats} counters as the in-process path
-    ([shards_queried], [partials_merged], [broadcast_bytes]). *)
+    Accounts [shards_queried], [partials_merged] and [broadcast_bytes]
+    to {!Xmark_stats}. *)
 
 type leg =
   | Local of Xmark_service.Server.t

@@ -1,18 +1,16 @@
 (* Execution-statistics registry, one per domain.
 
-   Since the parallel harness (Xmark_parallel) runs benchmark cells on
-   OCaml 5 domains, the registry cannot be a process-wide mutable
-   singleton: concurrent [incr]s would race.  Instead every domain owns
+   Since Workload's runner domains and the benchmark's load generators
+   run clients on OCaml 5 domains, the registry cannot be a process-wide
+   mutable singleton: concurrent [incr]s would race.  Instead every domain owns
    a private registry in domain-local storage; the only shared piece of
    state is the enabled flag, an [Atomic.t] written before domains are
    spawned and read (a plain load on x86) on every instrumented path.
 
-   A worker domain accumulates into its own registry and the pool
-   harness carries the deltas back with each task's result
-   ([export_and_clear] on the worker, [absorb] on the joining domain, in
-   task order).  Counter addition commutes, so the merged registry holds
-   totals identical to a sequential run — the determinism contract the
-   differential suite enforces.
+   A spawned domain accumulates into its own registry and hands the
+   deltas back when it is joined ([export_and_clear] on the spawned
+   domain, [absorb] on the joining one).  Counter addition commutes, so
+   the merged registry holds totals identical to a sequential run.
 
    The hot path (incr while disabled) is a single atomic load; while
    enabled it is a domain-local fetch plus two hashtable probes, the
@@ -48,7 +46,7 @@ let fresh_state () =
   let scopes = Hashtbl.create 16 in
   { scopes; path = ""; current = scope_table scopes "" }
 
-(* Shared across domains; toggle only outside parallel regions. *)
+(* Shared across domains; toggle only before spawning any. *)
 let on = Atomic.make false
 
 (* Each domain (the main one included) lazily gets a private registry. *)
@@ -77,20 +75,6 @@ let with_scope name f =
     let st = st () in
     let saved_path = st.path and saved_current = st.current in
     let path = if st.path = "" then name else st.path ^ "/" ^ name in
-    st.path <- path;
-    st.current <- scope_table st.scopes path;
-    Fun.protect
-      ~finally:(fun () ->
-        st.path <- saved_path;
-        st.current <- saved_current)
-      f
-  end
-
-let with_scope_path path f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let st = st () in
-    let saved_path = st.path and saved_current = st.current in
     st.path <- path;
     st.current <- scope_table st.scopes path;
     Fun.protect

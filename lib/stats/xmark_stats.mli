@@ -15,11 +15,10 @@
 
     {b Domain safety.}  Every domain owns a private registry held in
     domain-local storage; only the enabled flag is shared (an atomic,
-    toggled outside parallel regions).  Worker domains accumulate
-    locally and the parallel harness moves the deltas to the joining
-    domain with {!export_and_clear} / {!absorb}, in deterministic task
-    order — so a parallel run's merged totals equal a sequential
-    run's. *)
+    toggled before domains are spawned).  Spawned domains accumulate
+    locally and move their deltas to the joining domain with
+    {!export_and_clear} / {!absorb} — so the merged totals equal a
+    sequential run's. *)
 
 (* --- the clock ------------------------------------------------------------- *)
 
@@ -52,12 +51,6 @@ val with_scope : string -> (unit -> 'a) -> 'a
 (** [with_scope name f] runs [f] with counters attributed to [name];
     nested scopes join with ['/'] ("execute/join_build").  Exception
     safe.  When disabled this is just [f ()]. *)
-
-val with_scope_path : string -> (unit -> 'a) -> 'a
-(** As {!with_scope} but the path is absolute, replacing the current one
-    rather than nesting under it.  The parallel harness uses this to run
-    a task on a worker domain under the scope path of the domain that
-    submitted it. *)
 
 val current_scope : unit -> string
 (** The active scope path; [""] at top level. *)
@@ -98,8 +91,8 @@ type export = (string * (string * int) list) list
     levels sorted by name. *)
 
 val export_and_clear : unit -> export
-(** Dump and empty the calling domain's registry.  A pool worker calls
-    this after each task so the task's deltas travel back with its
+(** Dump and empty the calling domain's registry.  A spawned domain
+    calls this before it ends so its deltas travel back with its
     result. *)
 
 val absorb : export -> unit

@@ -44,10 +44,8 @@ let table_order =
     "closed_auction"; "category"; "edge" ]
 
 (* Seal, register and index a complete set of the ten relations — the
-   shared tail of a DOM load and a snapshot restore.  Tables are sealed
-   first, so index and B+-tree construction are pure reads and fan out
-   on the pool; registration stays on the calling domain, in order. *)
-let finish ?pool all_tables =
+   shared tail of a DOM load and a snapshot restore. *)
+let finish all_tables =
   let find name = List.find (fun t -> R.Table.name t = name) all_tables in
   let person = find "person" and item = find "item" in
   let open_auction = find "open_auction" and bidder = find "bidder" in
@@ -56,19 +54,16 @@ let finish ?pool all_tables =
   List.iter R.Table.seal all_tables;
   let cat = R.Catalog.create () in
   List.iter (R.Catalog.register cat) all_tables;
-  let build_all jobs =
-    match pool with
-    | Some p when Xmark_parallel.jobs p > 1 -> Xmark_parallel.map p (fun f -> f ()) jobs
-    | _ -> List.map (fun f -> f ()) jobs
-  in
-  let index_specs =
+  List.iter
+    (fun (table, column) ->
+      R.Catalog.register_index cat ~table:(R.Table.name table) ~column
+        (R.Index.build table column))
     [
       (person, "id"); (item, "id"); (open_auction, "id"); (bidder, "auction_idx");
       (interest, "person_idx"); (incategory, "item_idx"); (watch, "person_idx");
       (closed_auction, "buyer"); (closed_auction, "itemref");
-    ]
-  in
-  let numeric_btree (table, column) () =
+    ];
+  let numeric_btree (table, column) =
     let tree = R.Btree.create () in
     let ci = R.Table.col_index table column in
     R.Table.iter
@@ -79,29 +74,9 @@ let finish ?pool all_tables =
       table;
     (R.Table.name table, column, tree)
   in
-  let built =
-    build_all
-      (List.map
-         (fun (table, column) -> fun () -> `Hash (R.Index.build table column))
-         index_specs
-      @ [
-          (fun () -> `Btree (numeric_btree (closed_auction, "price") ()));
-          (fun () -> `Btree (numeric_btree (person, "income") ()));
-        ])
-  in
-  let ordered = ref [] in
-  List.iter2
-    (fun spec result ->
-      match (spec, result) with
-      | Some (table, column), `Hash idx ->
-          R.Catalog.register_index cat ~table:(R.Table.name table) ~column idx
-      | None, `Btree entry -> ordered := entry :: !ordered
-      | _ -> assert false)
-    (List.map (fun s -> Some s) index_specs @ [ None; None ])
-    built;
-  { cat; ordered = List.rev !ordered }
+  { cat; ordered = List.map numeric_btree [ (closed_auction, "price"); (person, "income") ] }
 
-let load_dom ?pool root =
+let load_dom root =
   let person =
     R.Table.create ~name:"person"
       ~cols:
@@ -157,16 +132,6 @@ let load_dom ?pool root =
           R.Value.Str (sv a) )
   in
 
-  (* The six sections of <site> write disjoint tables and only read the
-     (immutable once built) DOM, so with a pool each section loads as
-     its own task; row order within every table is the per-section
-     iteration order either way, hence identical to a sequential
-     load's. *)
-  let run_sections jobs =
-    match pool with
-    | Some p when Xmark_parallel.jobs p > 1 -> ignore (Xmark_parallel.map p (fun f -> f ()) jobs)
-    | _ -> List.iter (fun f -> f ()) jobs
-  in
   let load_regions () =
   let item_idx = ref 0 in
   (match child_el root "regions" with
@@ -346,30 +311,31 @@ let load_dom ?pool root =
         (children_el cas "closed_auction"))
   in
 
-  run_sections
-    [
-      load_regions; load_categories; load_catgraph; load_people; load_open_auctions;
-      load_closed_auctions;
-    ];
+  load_regions ();
+  load_categories ();
+  load_catgraph ();
+  load_people ();
+  load_open_auctions ();
+  load_closed_auctions ();
 
   let all_tables =
     [ person; interest; watch; item; incategory; open_auction; bidder; closed_auction;
       category; edge ]
   in
-  finish ?pool all_tables
+  finish all_tables
 
-let load_string ?pool s = load_dom ?pool (Xmark_xml.Sax.parse_string s)
+let load_string s = load_dom (Xmark_xml.Sax.parse_string s)
 
 (* --- snapshot image ------------------------------------------------------- *)
 
 let snapshot_tables t = R.Catalog.tables t.cat
 
-let of_tables ?pool tables =
+let of_tables tables =
   if List.map R.Table.name tables <> table_order then
     Xmark_persist.Page_io.corrupt
       "System C snapshot: unexpected relation set [%s]"
       (String.concat "; " (List.map R.Table.name tables));
-  finish ?pool tables
+  finish tables
 
 let catalog t = t.cat
 

@@ -20,13 +20,9 @@
 
 type t
 
-val load_dom : ?pool:Xmark_parallel.pool -> Xmark_xml.Dom.node -> t
-(** With a multi-domain [pool], the six sections of <site> load as
-    concurrent tasks (they write disjoint relations and only read the
-    DOM) and index/B+-tree builds fan out over sealed tables.  The
-    resulting store is identical to a sequential load's. *)
+val load_dom : Xmark_xml.Dom.node -> t
 
-val load_string : ?pool:Xmark_parallel.pool -> string -> t
+val load_string : string -> t
 
 val catalog : t -> Xmark_relational.Catalog.t
 
@@ -57,7 +53,7 @@ val snapshot_tables : t -> Xmark_relational.Table.t list
 (** The ten relations in catalog registration order — the snapshot
     image; indexes and B+-trees are derived data and stay out of it. *)
 
-val of_tables : ?pool:Xmark_parallel.pool -> Xmark_relational.Table.t list -> t
+val of_tables : Xmark_relational.Table.t list -> t
 (** Rebuild a store from restored relations: seal, register, and build
     the hash indexes and B+-trees exactly as a fresh load would.
     @raise Xmark_persist.Corrupt unless the relations are precisely the

@@ -26,13 +26,7 @@ type t = {
 }
 
 (* The shredder is a fold over SAX events; [builder] is its mutable
-   state.  A sequential load drives one builder over the whole stream; a
-   parallel load partitions the stream at the top-level section
-   boundaries of <site>, drives one builder per partition on the domain
-   pool (each seeded with the node-id range and root child position the
-   sequential fold would have reached at that point of the stream), and
-   concatenates the builders in document order — so the merged store is
-   structurally identical to a sequential load's. *)
+   state, driven over the whole stream and then sealed by [finalize]. *)
 type builder = {
   b_tag_tables : (Symbol.t, R.Table.t) Hashtbl.t;
   b_attr_tables : (string, R.Table.t) Hashtbl.t;
@@ -45,7 +39,7 @@ type builder = {
   mutable b_stack : (int * int) list;  (* (parent id, next child pos) *)
 }
 
-let new_builder ~first_id ~stack =
+let new_builder () =
   {
     b_tag_tables = Hashtbl.create 97;
     b_attr_tables = Hashtbl.create 97;
@@ -54,8 +48,8 @@ let new_builder ~first_id ~stack =
     b_tags_rev = [];
     b_attrs_rev = [];
     b_dir_rev = [];
-    b_counter = first_id;
-    b_stack = stack;
+    b_counter = 0;
+    b_stack = [];
   }
 
 let is_ws s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
@@ -124,86 +118,10 @@ let shred b next =
   in
   loop ()
 
-(* Concatenate partition builders (document order) into one.  Tag and
-   attribute relations are created at global first encounter, which —
-   partitions being contiguous stream ranges walked in order — is
-   exactly the sequential first-encounter sequence, so hashtable
-   insertion (and hence iteration) order matches a sequential load's;
-   rows within a relation land in document order for the same reason. *)
-let merge_builders parts =
-  let g = new_builder ~first_id:0 ~stack:[] in
-  List.iter
-    (fun p ->
-      let copy_rows dst src = R.Table.iter (fun _ row -> R.Table.append dst row) src in
-      (* per-relation row counts before this partition's rows arrive,
-         for rebasing the partition's directory entries *)
-      let offsets = Hashtbl.create 97 in
-      let offset tag =
-        match Hashtbl.find_opt offsets tag with
-        | Some o -> o
-        | None ->
-            let o =
-              if Symbol.equal tag Symbol.empty then R.Table.row_count g.b_text
-              else
-                match Hashtbl.find_opt g.b_tag_tables tag with
-                | Some tbl -> R.Table.row_count tbl
-                | None -> 0
-            in
-            Hashtbl.replace offsets tag o;
-            o
-      in
-      g.b_dir_rev <-
-        List.fold_left
-          (fun acc (tag, local_row) -> (tag, offset tag + local_row) :: acc)
-          g.b_dir_rev
-          (List.rev p.b_dir_rev);
-      List.iter
-        (fun tag ->
-          let src = Hashtbl.find p.b_tag_tables tag in
-          let dst =
-            match Hashtbl.find_opt g.b_tag_tables tag with
-            | Some tbl -> tbl
-            | None ->
-                let tbl =
-                  R.Table.create ~name:(Symbol.to_string tag) ~cols:[ "id"; "parent"; "pos" ]
-                in
-                Hashtbl.replace g.b_tag_tables tag tbl;
-                g.b_tags_rev <- tag :: g.b_tags_rev;
-                tbl
-          in
-          copy_rows dst src)
-        (List.rev p.b_tags_rev);
-      copy_rows g.b_text p.b_text;
-      List.iter
-        (fun tname ->
-          let src = Hashtbl.find p.b_attr_tables tname in
-          let dst =
-            match Hashtbl.find_opt g.b_attr_tables tname with
-            | Some tbl -> tbl
-            | None ->
-                let tbl = R.Table.create ~name:tname ~cols:[ "owner"; "value" ] in
-                Hashtbl.replace g.b_attr_tables tname tbl;
-                g.b_attrs_rev <- tname :: g.b_attrs_rev;
-                (* first global encounter: record the attribute key
-                   under its tag, as the sequential fold would *)
-                let at = String.index tname '@' in
-                let tag = Symbol.intern (String.sub tname 0 at) in
-                let key = String.sub tname (at + 1) (String.length tname - at - 1) in
-                Hashtbl.replace g.b_attr_names tag
-                  (key :: Option.value ~default:[] (Hashtbl.find_opt g.b_attr_names tag));
-                tbl
-          in
-          copy_rows dst src)
-        (List.rev p.b_attrs_rev);
-      g.b_counter <- max g.b_counter p.b_counter)
-    parts;
-  g
-
 (* Index construction and catalog registration over a finished builder.
-   With a pool, the per-relation index builds fan out — every table is
-   sealed first, so concurrent builds are pure reads — while
-   registration stays on the calling domain in the sequential order. *)
-let finalize ?pool b =
+   Attribute relations register in [Hashtbl.iter] order, which a restore
+   reproduces by refilling the hashtable in first-encounter order. *)
+let finalize b =
   let element_tag_syms = List.rev b.b_tags_rev in
   let element_tags = List.map Symbol.to_string element_tag_syms in
   let cat = R.Catalog.create () in
@@ -215,64 +133,40 @@ let finalize ?pool b =
   List.iter (fun tag -> R.Table.seal (Hashtbl.find b.b_tag_tables tag)) element_tag_syms;
   R.Table.seal b.b_text;
   Hashtbl.iter (fun _ tbl -> R.Table.seal tbl) b.b_attr_tables;
-  let build_all jobs =
-    match pool with
-    | Some p -> Xmark_parallel.map p (fun f -> f ()) jobs
-    | None -> List.map (fun f -> f ()) jobs
-  in
-  let child_idx =
-    build_all
-      (List.map
-         (fun tag -> fun () -> (tag, R.Index.build (Hashtbl.find b.b_tag_tables tag) "parent"))
-         element_tag_syms)
-  in
   (* Symbol-indexed lookup arrays: every tag in the document was interned
      before this point, so its id is in range; tags interned later (query
      constants absent from the document) are guarded at the accessors. *)
   let n_syms = Symbol.count () in
   let tag_tables = Array.make n_syms None in
-  List.iter
-    (fun tag -> tag_tables.((tag : Symbol.t :> int)) <- Some (Hashtbl.find b.b_tag_tables tag))
-    element_tag_syms;
   let child_indexes = Array.make n_syms None in
   List.iter
-    (fun (tag, idx) ->
+    (fun tag ->
+      let tbl = Hashtbl.find b.b_tag_tables tag in
+      tag_tables.((tag : Symbol.t :> int)) <- Some tbl;
+      let idx = R.Index.build tbl "parent" in
       child_indexes.((tag : Symbol.t :> int)) <- Some idx;
       R.Catalog.register_index cat ~table:(Symbol.to_string tag) ~column:"parent" idx)
-    child_idx;
+    element_tag_syms;
   let text_child_index = R.Index.build b.b_text "parent" in
   R.Catalog.register_index cat ~table:"_text" ~column:"parent" text_child_index;
   let is_id_table tname =
     String.length tname > 3 && String.sub tname (String.length tname - 3) 3 = "@id"
   in
-  let attr_jobs =
-    (* reversed fold restores [Hashtbl.iter] order, keeping registration
-       order identical to the historical sequential loop *)
-    List.rev
-      (Hashtbl.fold
-         (fun tname tbl acc ->
-           (fun () ->
-             let owner = R.Index.build tbl "owner" in
-             let value = if is_id_table tname then Some (R.Index.build tbl "value") else None in
-             (tname, owner, value))
-           :: acc)
-         b.b_attr_tables [])
-  in
-  let attr_idx = build_all attr_jobs in
   let attr_owner_indexes = Hashtbl.create 97 in
   let id_indexes = Hashtbl.create 8 in
   let id_tables = ref [] in
-  List.iter
-    (fun (tname, owner, value) ->
+  Hashtbl.iter
+    (fun tname tbl ->
+      let owner = R.Index.build tbl "owner" in
       Hashtbl.replace attr_owner_indexes tname owner;
       R.Catalog.register_index cat ~table:tname ~column:"owner" owner;
-      match value with
-      | None -> ()
-      | Some vidx ->
-          Hashtbl.replace id_indexes tname vidx;
-          id_tables := tname :: !id_tables;
-          R.Catalog.register_index cat ~table:tname ~column:"value" vidx)
-    attr_idx;
+      if is_id_table tname then begin
+        let vidx = R.Index.build tbl "value" in
+        Hashtbl.replace id_indexes tname vidx;
+        id_tables := tname :: !id_tables;
+        R.Catalog.register_index cat ~table:tname ~column:"value" vidx
+      end)
+    b.b_attr_tables;
   (* per-tag attribute metadata resolved once, so an [attributes] call
      needs no "tag@key" string building or hashtable probes *)
   let attr_info = Array.make n_syms [] in
@@ -304,117 +198,18 @@ let finalize ?pool b =
     vcache = None;
   }
 
-let load_sequential s =
+let load_string s =
+  let b = new_builder () in
   let p = Sax.of_string s in
-  let b = new_builder ~first_id:0 ~stack:[] in
   shred b (fun () -> Sax.next p);
-  finalize b
-
-(* Partition the event stream at the boundaries of the root's child
-   subtrees (<site>'s six sections).  Returns the root's start tag and
-   attributes plus one event list per section with the number of node
-   ids its subtree consumes; [None] when the document has non-whitespace
-   text directly under the root (never the case for benchmark documents)
-   or is otherwise malformed, in which case the caller falls back to the
-   sequential path. *)
-let segment_events p =
-  let root = ref None in
-  let segments = ref [] in
-  let current = ref [] and current_ids = ref 0 in
-  let depth = ref 0 in
-  let exception Unpartitionable in
-  let close_segment () =
-    segments := (List.rev !current, !current_ids) :: !segments;
-    current := [];
-    current_ids := 0
-  in
-  try
-    let rec loop () =
-      match Sax.next p with
-      | Sax.Eof -> ()
-      | Sax.Start_element _ as e ->
-          (match !depth with
-          | 0 -> root := Some e
-          | _ ->
-              current := e :: !current;
-              Stdlib.incr current_ids);
-          Stdlib.incr depth;
-          loop ()
-      | Sax.End_element _ as e ->
-          Stdlib.decr depth;
-          (match !depth with
-          | 0 -> ()
-          | 1 ->
-              current := e :: !current;
-              close_segment ()
-          | _ -> current := e :: !current);
-          loop ()
-      | Sax.Chars s as e ->
-          (if !depth >= 2 then begin
-             current := e :: !current;
-             if not (is_ws s) then Stdlib.incr current_ids
-           end
-           else if not (is_ws s) then raise Unpartitionable);
-          loop ()
-    in
-    loop ();
-    match !root with
-    | Some (Sax.Start_element (tag, attrs)) when !current = [] ->
-        Some ((tag, attrs), List.rev !segments)
-    | _ -> None
-  with Unpartitionable -> None
-
-let load_parallel pool s =
-  match segment_events (Sax.of_string s) with
-  | None -> load_sequential s
-  | Some ((root_tag, root_attrs), segments) ->
-      (* the root consumes node id 0; section k starts where section
-         k-1's subtree stopped, as child number k of the root *)
-      let seeded =
-        List.rev
-          (snd
-             (List.fold_left
-                (fun (first_id, acc) (events, ids) ->
-                  (first_id + ids, (first_id, events) :: acc))
-                (1, []) segments))
-      in
-      let parts =
-        Xmark_parallel.map pool
-          (fun (k, (first_id, events)) ->
-            let b = new_builder ~first_id ~stack:[ (0, k) ] in
-            let remaining = ref events in
-            shred b (fun () ->
-                match !remaining with
-                | [] -> Sax.Eof
-                | e :: rest ->
-                    remaining := rest;
-                    e);
-            b)
-          (List.mapi (fun k seg -> (k, seg)) seeded)
-      in
-      let root_b = new_builder ~first_id:0 ~stack:[] in
-      let fed = ref false in
-      shred root_b (fun () ->
-          if !fed then Sax.Eof
-          else begin
-            fed := true;
-            Sax.Start_element (root_tag, root_attrs)
-          end);
-      finalize ~pool (merge_builders (root_b :: parts))
-
-let load_string ?pool s =
-  let t =
-    match pool with
-    | Some p when Xmark_parallel.jobs p > 1 -> load_parallel p s
-    | _ -> load_sequential s
-  in
+  let t = finalize b in
   (* same typed rejection as the DOM builder: a rootless document must
      not produce an empty store that later navigation trips over *)
   if Array.length t.dir_tag = 0 then
     raise (Sax.Parse_error { line = 1; col = 1; message = "no root element" });
   t
 
-let load_dom ?pool root = load_string ?pool (Xmark_xml.Serialize.to_string root)
+let load_dom root = load_string (Xmark_xml.Serialize.to_string root)
 
 (* --- snapshot image ------------------------------------------------------- *)
 
@@ -437,9 +232,9 @@ let to_image t =
    tag and attribute hashtables are repopulated in the image's
    first-encounter order — the same insertion sequence as the original
    load, so every order that leaks out of a hashtable downstream
-   (catalog registration, index-build batches) matches a fresh load's
+   (catalog registration, index builds) matches a fresh load's
    and the restored session is structurally identical to a parsed one. *)
-let of_image ?pool (img : Xmark_persist.Snapshot.b_image) =
+let of_image (img : Xmark_persist.Snapshot.b_image) =
   let corrupt = Xmark_persist.Page_io.corrupt in
   if List.length img.bi_tags <> List.length img.bi_tag_tables then
     corrupt "shredded image: %d tags but %d tag relations"
@@ -499,7 +294,7 @@ let of_image ?pool (img : Xmark_persist.Snapshot.b_image) =
       b_stack = [];
     }
   in
-  finalize ?pool b
+  finalize b
 
 let catalog t = t.cat
 

@@ -12,17 +12,9 @@
 
 include Xmark_xquery.Store_sig.S with type node = int
 
-val load_string : ?pool:Xmark_parallel.pool -> string -> t
-(** With a multi-domain [pool], the SAX event stream is partitioned at
-    the top-level section boundaries of the root element and each
-    partition is shredded on its own domain before a deterministic
-    document-order merge; index builds also fan out.  The resulting
-    store is structurally identical to a sequential load's (same node
-    ids, relation contents, registration orders).  Documents with
-    non-whitespace text directly under the root fall back to the
-    sequential path. *)
+val load_string : string -> t
 
-val load_dom : ?pool:Xmark_parallel.pool -> Xmark_xml.Dom.node -> t
+val load_dom : Xmark_xml.Dom.node -> t
 
 val catalog : t -> Xmark_relational.Catalog.t
 
@@ -36,7 +28,7 @@ val to_image : t -> Xmark_persist.Snapshot.b_image
     relations plus both first-encounter orders).  Indexes and the node
     directory are derived data and stay out of the image. *)
 
-val of_image : ?pool:Xmark_parallel.pool -> Xmark_persist.Snapshot.b_image -> t
+val of_image : Xmark_persist.Snapshot.b_image -> t
 (** Rebuild a store from a restored image — indexes, catalog and node
     directory are reconstructed, in the same registration orders as a
     fresh load, so queries behave identically.

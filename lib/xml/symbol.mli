@@ -12,7 +12,7 @@
     text nodes report it as their name) and the DTD vocabulary —
     element names in declaration order, then the attribute-only names —
     occupies ids [1..seeded_count - 1] identically in every process and
-    at every [--jobs] level.  Names outside the seeded vocabulary fall
+    on every domain.  Names outside the seeded vocabulary fall
     back to a mutex-guarded table and receive ids in first-intern
     order, which is deterministic only for a deterministic intern
     sequence; persistent artefacts therefore never store raw dynamic

@@ -6,7 +6,6 @@
    leaked. *)
 
 module Runner = Xmark_core.Runner
-module Merge = Xmark_core.Merge
 module Partitioner = Xmark_shard.Partitioner
 module Manifest = Xmark_shard.Manifest
 module Scatter = Xmark_shard.Scatter
@@ -106,13 +105,16 @@ let single sys =
       Hashtbl.add singles sys s;
       s
 
-let sharded sys k =
+(* K in-process legs, one shard-scoped server per shard of [sys] *)
+let scatter_for sys k =
   let p = partition k in
-  Runner.shard_sessions
-    (Array.map
-       (fun (sh : Partitioner.shard) ->
-         Runner.load ~source:(`Dom sh.Partitioner.root) sys)
-       p.Partitioner.shards)
+  Scatter.create
+    (Array.to_list
+       (Array.mapi
+          (fun i (sh : Partitioner.shard) ->
+            Scatter.Local
+              (Server.create ~shard:i (Runner.load ~source:(`Dom sh.Partitioner.root) sys)))
+          p.Partitioner.shards))
 
 (* the single-store reference, computed once per (system, query) and
    shared across the K cells — at factor 0.1 the reference pass is the
@@ -344,19 +346,8 @@ let test_manifest_validate_binds_files () =
 
 (* --- scatter over in-process legs ----------------------------------------- *)
 
-let scatter_for k =
-  let p = partition k in
-  Scatter.create
-    (Array.to_list
-       (Array.mapi
-          (fun i (sh : Partitioner.shard) ->
-            Scatter.Local
-              (Server.create ~shard:i
-                 (Runner.load ~source:(`Dom sh.Partitioner.root) Runner.D)))
-          p.Partitioner.shards))
-
 let test_scatter_local k () =
-  let sc = scatter_for k in
+  let sc = scatter_for Runner.D k in
   Alcotest.(check int) "shard count" k (Scatter.shards sc);
   for q = 1 to 20 do
     let label = Printf.sprintf "scatter K=%d Q%d" k q in
@@ -375,17 +366,6 @@ let test_scatter_local k () =
   | Error (P.Bad_request _) -> ()
   | Ok _ -> Alcotest.fail "Q21 answered"
   | Error e -> Alcotest.failf "Q21: %s" (Server.error_to_string e)
-
-let test_run_sharded_k1 () =
-  (* the degenerate sharded session: one shard must be indistinguishable
-     from the single store on the in-process merge path too *)
-  let shd = sharded Runner.D 1 in
-  for q = 1 to 20 do
-    let items, expected = reference Runner.D q in
-    let n, got = Runner.run_sharded shd q in
-    Alcotest.(check int) (Printf.sprintf "K=1 Q%d items" q) items n;
-    Alcotest.(check string) (Printf.sprintf "K=1 Q%d canonical" q) expected got
-  done
 
 let test_scatter_create_rejects () =
   (match Scatter.create [] with
@@ -438,24 +418,24 @@ let test_wire_scatter_kill () =
 let join_queries = [ 8; 9; 10; 11; 12 ]
 
 let check_all_queries sys k =
-  let shd = sharded sys k in
+  let sc = scatter_for sys k in
   for q = 1 to 20 do
     let label = Printf.sprintf "%s K=%d Q%d" (Runner.system_name sys) k q in
-    if sys = Runner.C && List.mem q join_queries then
-      (* C executes prepared plans only; the join gathers need ad-hoc
-         side-queries, so sharded C surfaces its existing limitation *)
-      match Runner.run_sharded shd q with
-      | exception Runner.Unsupported _ -> ()
-      | _ -> Alcotest.failf "%s: expected Unsupported" label
-    else begin
-      let items, expected = reference sys q in
-      let n, got = Runner.run_sharded shd q in
-      Alcotest.(check int) (label ^ " items") items n;
-      if not (String.equal expected got) then
-        Alcotest.failf "%s: canonical mismatch\nexpected: %s\ngot:      %s" label
-          (String.sub expected 0 (min 400 (String.length expected)))
-          (String.sub got 0 (min 400 (String.length got)))
-    end
+    match Scatter.run sc q with
+    | Error (P.Unsupported _) when sys = Runner.C && List.mem q join_queries ->
+        (* C executes prepared plans only; the join gathers need ad-hoc
+           side-queries, so sharded C surfaces its existing limitation *)
+        ()
+    | Error e -> Alcotest.failf "%s: %s" label (Server.error_to_string e)
+    | Ok _ when sys = Runner.C && List.mem q join_queries ->
+        Alcotest.failf "%s: expected Unsupported" label
+    | Ok a ->
+        let items, expected = reference sys q in
+        Alcotest.(check int) (label ^ " items") items a.Scatter.items;
+        if not (String.equal expected a.Scatter.canonical) then
+          Alcotest.failf "%s: canonical mismatch\nexpected: %s\ngot:      %s" label
+            (String.sub expected 0 (min 400 (String.length expected)))
+            (String.sub a.Scatter.canonical 0 (min 400 (String.length a.Scatter.canonical)))
   done
 
 (* K = 4 is a system's last digest case: its single store and
@@ -497,8 +477,6 @@ let () =
           Alcotest.test_case "local legs K=1" `Quick (test_scatter_local 1);
           Alcotest.test_case "local legs K=2" `Quick (test_scatter_local 2);
           Alcotest.test_case "local legs K=4" `Quick (test_scatter_local 4);
-          Alcotest.test_case "run_sharded K=1 identity" `Quick
-            test_run_sharded_k1;
           Alcotest.test_case "leg validation" `Quick
             test_scatter_create_rejects;
           Alcotest.test_case "wire digests (2 workers)" `Quick

@@ -5,7 +5,7 @@
    the second run of a compiled query — and the one clock every timer
    reads. *)
 
-module Stats = Xmark_core.Stats
+module Stats = Xmark_stats
 module Runner = Xmark_core.Runner
 module Timing = Xmark_core.Timing
 
@@ -208,6 +208,40 @@ let test_ms_since_monotonic () =
   Alcotest.(check bool) "non-negative" true (a >= 0.0);
   Alcotest.(check bool) "non-decreasing" true (b >= a)
 
+(* --- counters merged across domains ------------------------------------------ *)
+
+(* Counters bumped on spawned domains reach the joining domain through
+   [export_and_clear] / [absorb] with the same per-scope totals as a
+   sequential run: the contract Workload's runner domains and the
+   benchmark's sender domains rely on. *)
+let test_stats_merge_deterministic () =
+  Stats.enable ();
+  let work d =
+    Stats.with_scope "merge" (fun () ->
+        for i = 1 to 16 do
+          Stats.incr ~by:((d * 16) + i) "merge_test_ticks"
+        done);
+    Stats.incr "merge_test_tasks"
+  in
+  let domains = 4 in
+  for d = 0 to domains - 1 do
+    work d
+  done;
+  let sequential = Stats.to_assoc () in
+  Stats.reset ();
+  let exports =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            work d;
+            Stats.export_and_clear ()))
+    |> List.map Domain.join
+  in
+  Alcotest.(check int) "spawned domains count in their own registries" 0
+    (Stats.total "merge_test_ticks");
+  List.iter Stats.absorb exports;
+  Alcotest.(check (list (pair string (list (pair string int)))))
+    "4 domains merged = sequential totals" sequential (Stats.to_assoc ())
+
 let () =
   let t name f = Alcotest.test_case name `Quick (fixture f) in
   Alcotest.run "stats"
@@ -222,6 +256,7 @@ let () =
           t "snapshot / since" test_snapshot_since;
           t "reset clears" test_reset_clears;
           t "stable JSON schema" test_json_stable_schema;
+          t "stats merge is deterministic" test_stats_merge_deterministic;
         ] );
       ( "engine",
         [

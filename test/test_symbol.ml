@@ -14,7 +14,7 @@ let test_seeded_ids_deterministic () =
   Alcotest.(check int) "empty string is id 0" 0 (Symbol.to_int Symbol.empty);
   Alcotest.(check string) "id 0 reads back empty" "" (Symbol.to_string Symbol.empty);
   (* element names occupy ids 1.. in DTD declaration order, in every
-     process and at every --jobs level *)
+     process and on every domain *)
   List.iteri
     (fun i name ->
       Alcotest.(check int) (name ^ " id") (i + 1) (Symbol.to_int (Symbol.intern name)))

@@ -5,7 +5,7 @@ module MM = Xmark_store.Backend_mainmem
 module E = Xmark_xquery.Eval.Make (MM)
 module Dom = Xmark_xml.Dom
 module Canonical = Xmark_xml.Canonical
-module Stats = Xmark_core.Stats
+module Stats = Xmark_stats
 
 let store_of src = MM.of_string ~level:`Full src
 
