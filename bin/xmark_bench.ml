@@ -3,7 +3,8 @@
    The default exhibit, all, runs every one in sequence (and writes CSV
    series when XMARK_CSV_DIR is set); naming one exhibit and a factor is
    convenient while exploring.  The matrix exhibit and --stats-json run
-   the full (system, query) grid, one freshly loaded store per cell.
+   the full (system, query) grid, one freshly loaded store per cell;
+   table3 keeps the rows in --queries and the columns in --systems.
    Performance is measured by perfbench, not here.
 
    --save-snapshot writes the loaded store of one system (--system,
@@ -90,7 +91,7 @@ let run exhibit factor no_vec stats_json systems queries system doc snapshot sav
             match exhibit with
             | "table1" -> ignore (E.table1 ~factor ()); 0
             | "table2" -> ignore (E.table2 ~factor ()); 0
-            | "table3" -> ignore (E.table3 ~factor ()); 0
+            | "table3" -> ignore (E.table3 ~factor ~queries ~systems ()); 0
             | "fig3" -> ignore (E.fig3 ()); 0
             | "fig4" -> ignore (E.fig4 ()); 0
             | "genperf" -> ignore (E.genperf ()); 0

@@ -162,22 +162,32 @@ let paper_table3 =
 
 type table3_row = { t3_query : int; t3_ms : (Runner.system * float) list; t3_agree : bool }
 
-let table3 ?(factor = default_factor) ?(queries = table3_queries) () =
+let table3 ?(factor = default_factor) ?(queries = table3_queries) ?(systems = Runner.mass_storage)
+    () =
   let doc = document factor in
+  (* Table 3's own rows and columns, in its order, narrowed to the request *)
+  let queries = List.filter (fun q -> List.mem q queries) table3_queries in
+  let columns =
+    List.filter (fun (sys, _) -> List.mem sys systems)
+      (List.mapi (fun i sys -> (sys, i)) Runner.mass_storage)
+  in
   pr "== Table 3: query runtimes in ms on Systems A-F (factor %g) ==\n" factor;
   pr "   (second line per query: the paper's numbers at factor 1.0 on 550 MHz PIII)\n\n";
-  let stores = List.map (fun sys -> (sys, load_store sys doc)) Runner.mass_storage in
+  let stores = List.map (fun (sys, _) -> (sys, load_store sys doc)) columns in
   pr "%-6s" "Query";
-  List.iter (fun sys -> pr "%12s" (Runner.system_name sys)) Runner.mass_storage;
+  List.iter (fun (sys, _) -> pr "%12s" (Runner.system_name sys)) columns;
   pr "%8s\n" "agree";
   hr ();
   let rows =
     List.map
       (fun q ->
         let outcomes = List.map (fun (sys, st) -> (sys, Runner.run st q)) stores in
-        let canon_ref = Runner.canonical (snd (List.hd outcomes)) in
         let agree =
-          List.for_all (fun (_, o) -> String.equal (Runner.canonical o) canon_ref) outcomes
+          match outcomes with
+          | [] -> true
+          | (_, first) :: _ ->
+              let canon_ref = Runner.canonical first in
+              List.for_all (fun (_, o) -> String.equal (Runner.canonical o) canon_ref) outcomes
         in
         pr "Q%-5d" q;
         List.iter
@@ -187,7 +197,7 @@ let table3 ?(factor = default_factor) ?(queries = table3_queries) () =
         (match List.assoc_opt q paper_table3 with
         | Some ps ->
             pr "%-6s" "";
-            List.iter (fun v -> pr "%12.0f" v) ps;
+            List.iter (fun (_, i) -> pr "%12.0f" (List.nth ps i)) columns;
             pr "   (paper)\n"
         | None -> ());
         {

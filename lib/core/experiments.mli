@@ -51,7 +51,11 @@ type table3_row = {
   t3_agree : bool;  (** canonical results identical across systems *)
 }
 
-val table3 : ?factor:float -> ?queries:int list -> unit -> table3_row list
+val table3 :
+  ?factor:float -> ?queries:int list -> ?systems:Runner.system list -> unit -> table3_row list
+(** Rows are {!table3_queries} that are also in [queries], in Table 3's
+    order; columns are Systems A-F that are also in [systems].  The
+    defaults print the whole table. *)
 
 (* --- Figure 3: document scaling ------------------------------------------- *)
 

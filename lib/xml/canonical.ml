@@ -1,20 +1,23 @@
-let normalize_ws s =
-  let buf = Buffer.create (String.length s) in
-  let pending = ref false in
-  String.iter
-    (fun c ->
-      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then pending := true
-      else begin
-        if !pending && Buffer.length buf > 0 then Buffer.add_char buf ' ';
-        pending := false;
-        Buffer.add_char buf c
-      end)
-    s;
-  Buffer.contents buf
+(* Whitespace-normalize and escape [s] straight into [buf], continuing a
+   run of adjacent text in state [st]: 0 before the run's first non-blank
+   character, 1 just after one, 2 in blanks that follow one.  Blank runs
+   collapse to one space and the run's leading and trailing blanks are
+   dropped, across node boundaries too.  Returns the state after [s]. *)
+let add_text buf st s =
+  let st = ref st in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' -> if !st = 1 then st := 2
+    | c ->
+        if !st = 2 then Buffer.add_char buf ' ';
+        st := 1;
+        Serialize.add_escaped_char buf `Text c
+  done;
+  !st
 
 let rec emit buf (n : Dom.node) =
   match n.Dom.desc with
-  | Dom.Text s -> Serialize.(Buffer.add_string buf (escape_text (normalize_ws s)))
+  | Dom.Text s -> ignore (add_text buf 0 s)
   | Dom.Element e ->
       Buffer.add_char buf '<';
       Buffer.add_string buf (Symbol.to_string e.name);
@@ -23,28 +26,19 @@ let rec emit buf (n : Dom.node) =
           Buffer.add_char buf ' ';
           Buffer.add_string buf k;
           Buffer.add_string buf "=\"";
-          Buffer.add_string buf (Serialize.escape_attr v);
+          String.iter (Serialize.add_escaped_char buf `Attr) v;
           Buffer.add_char buf '"')
-        (List.sort compare e.attrs);
+        (match e.attrs with ([] | [ _ ]) as one -> one | many -> List.sort compare many);
       Buffer.add_char buf '>';
       (* Coalesce adjacent text and drop whitespace-only runs. *)
-      let rec walk = function
+      let rec walk st = function
         | [] -> ()
-        | (c : Dom.node) :: rest -> (
-            match c.Dom.desc with
-            | Dom.Text _ ->
-                let texts, rest' = split_texts [] (c :: rest) in
-                let joined = normalize_ws (String.concat "" texts) in
-                if joined <> "" then Buffer.add_string buf (Serialize.escape_text joined);
-                walk rest'
-            | Dom.Element _ ->
-                emit buf c;
-                walk rest)
-      and split_texts acc = function
-        | ({ Dom.desc = Dom.Text s; _ } : Dom.node) :: rest -> split_texts (s :: acc) rest
-        | rest -> (List.rev acc, rest)
+        | ({ Dom.desc = Dom.Text s; _ } : Dom.node) :: rest -> walk (add_text buf st s) rest
+        | c :: rest ->
+            emit buf c;
+            walk 0 rest
       in
-      walk e.children;
+      walk 0 e.children;
       Buffer.add_string buf "</";
       Buffer.add_string buf (Symbol.to_string e.name);
       Buffer.add_char buf '>'
@@ -54,6 +48,13 @@ let of_node n =
   emit buf n;
   Buffer.contents buf
 
-let of_nodes nodes = String.concat "\n" (List.map of_node nodes)
+let of_nodes nodes =
+  let buf = Buffer.create 256 in
+  List.iteri
+    (fun i n ->
+      if i > 0 then Buffer.add_char buf '\n';
+      emit buf n)
+    nodes;
+  Buffer.contents buf
 
 let equal a b = String.equal (of_nodes a) (of_nodes b)

@@ -1,13 +1,12 @@
-let add_escaped buf kind s =
-  String.iter
-    (fun c ->
-      match (c, kind) with
-      | '&', _ -> Buffer.add_string buf "&amp;"
-      | '<', _ -> Buffer.add_string buf "&lt;"
-      | '>', `Text -> Buffer.add_string buf "&gt;"
-      | '"', `Attr -> Buffer.add_string buf "&quot;"
-      | _ -> Buffer.add_char buf c)
-    s
+let add_escaped_char buf kind c =
+  match (c, kind) with
+  | '&', _ -> Buffer.add_string buf "&amp;"
+  | '<', _ -> Buffer.add_string buf "&lt;"
+  | '>', `Text -> Buffer.add_string buf "&gt;"
+  | '"', `Attr -> Buffer.add_string buf "&quot;"
+  | _ -> Buffer.add_char buf c
+
+let add_escaped buf kind s = String.iter (add_escaped_char buf kind) s
 
 let escape_text s =
   let buf = Buffer.create (String.length s + 8) in

@@ -11,6 +11,10 @@ val escape_attr : string -> string
 (** Escape ampersand, left angle bracket and double quote for a
     double-quoted attribute value. *)
 
+val add_escaped_char : Buffer.t -> [ `Text | `Attr ] -> char -> unit
+(** Append one character escaped as {!escape_text} ([`Text]) or
+    {!escape_attr} ([`Attr]) escapes it. *)
+
 val to_buffer : ?indent:bool -> Buffer.t -> Dom.node -> unit
 (** Serialize a subtree.  With [indent], children of purely element-content
     nodes are placed on their own indented lines; mixed content is emitted

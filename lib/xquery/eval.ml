@@ -476,6 +476,8 @@ module Make (S : Store_sig.S) = struct
 
   (* --- item utilities --------------------------------------------------- *)
 
+  let items_of_extent a = Array.fold_right (fun n acc -> N n :: acc) a []
+
   let is_node = function
     | D | N _ | C _ | A _ -> true
     | Num _ | Str _ | Bool _ -> false
@@ -495,21 +497,46 @@ module Make (S : Store_sig.S) = struct
     | A x, A y -> x == y || x = y
     | _ -> false
 
-  (* Sort stored nodes by document order and remove duplicates; constructed
-     nodes keep sequence order (cross-tree document order is undefined). *)
+  (* Document order is kept as step results are built, not restored after
+     each step: a child or attribute step over ordered input, and every
+     extent slice, already yields its items in order.  So one pass without
+     allocation first checks that the keys (stored nodes by [S.order],
+     attributes by their owner's order) strictly increase; then no two
+     items are equal under [item_equal] and the input is the answer.
+     Otherwise stored nodes are sorted on extracted int keys, and other
+     sequences of stored nodes and attributes drop later duplicates by
+     hash, keeping first occurrences in sequence order.  Sequences holding
+     constructed nodes keep sequence order (cross-tree document order is
+     undefined) and drop duplicates by [item_equal]. *)
   let doc_order_dedup c items =
-    let all_stored = List.for_all (function N _ -> true | _ -> false) items in
-    if all_stored then begin
-      let arr = Array.of_list items in
-      Array.sort (fun a b -> compare (node_order c a) (node_order c b)) arr;
+    let store = c.store in
+    let rec ordered prev = function
+      | [] -> true
+      | N n :: rest ->
+          let o = S.order store n in
+          o > prev && ordered o rest
+      | A a :: rest -> a.aowner_order > prev && ordered a.aowner_order rest
+      | (D | C _ | Num _ | Str _ | Bool _) :: _ -> false
+    in
+    if ordered min_int items then items
+    else if List.for_all (function N _ -> true | _ -> false) items then begin
+      let keyed = Array.of_list (List.map (fun it -> (node_order c it, it)) items) in
+      Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) keyed;
+      (* keys are unique per node, so equal neighbours are one node *)
       let out = ref [] in
-      Array.iter
-        (fun it ->
-          match !out with
-          | prev :: _ when node_order c prev = node_order c it -> ()
-          | _ -> out := it :: !out)
-        arr;
-      List.rev !out
+      for i = Array.length keyed - 1 downto 0 do
+        let k, it = keyed.(i) in
+        if i = 0 || fst keyed.(i - 1) <> k then out := it :: !out
+      done;
+      !out
+    end
+    else if List.for_all (function N _ | A _ -> true | _ -> false) items then begin
+      let nodes = Hashtbl.create 16 and attrs = Hashtbl.create 16 in
+      (* an attribute record as key is [item_equal]'s structural equality *)
+      let first tbl k = (not (Hashtbl.mem tbl k)) && (Hashtbl.replace tbl k (); true) in
+      List.filter
+        (function N n -> first nodes (S.order store n) | A a -> first attrs a | _ -> true)
+        items
     end
     else
       let seen = ref [] in
@@ -553,6 +580,54 @@ module Make (S : Store_sig.S) = struct
     | [ Str s ] -> s <> ""
     | (D | N _ | C _ | A _) :: _ -> true
     | _ :: _ :: _ -> true
+
+  (* --- string helpers: compare in place, never copy a candidate ---------- *)
+
+  (* whether [x] occurs in [s] at byte offset [i] *)
+  let occurs_at s i x =
+    let lx = String.length x in
+    let rec from k = k >= lx || (s.[i + k] = x.[k] && from (k + 1)) in
+    i >= 0 && i + lx <= String.length s && from 0
+
+  (* offset of the first occurrence of [x] in [s], or -1 *)
+  let find_substring s x =
+    let last = String.length s - String.length x in
+    let rec at i = if i > last then -1 else if occurs_at s i x then i else at (i + 1) in
+    at 0
+
+  (* whether [s] holds [needle] (lowercase) as a token: a maximal
+     alphanumeric run, compared lowercase *)
+  let contains_token s needle =
+    let n = String.length s and ln = String.length needle in
+    let is_alnum c =
+      (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+    in
+    let rec same i k = k >= ln || (Char.lowercase_ascii s.[i + k] = needle.[k] && same i (k + 1)) in
+    let rec scan i =
+      if i >= n then false
+      else if not (is_alnum s.[i]) then scan (i + 1)
+      else begin
+        let j = ref i in
+        while !j < n && is_alnum s.[!j] do
+          incr j
+        done;
+        (!j - i = ln && same i 0) || scan !j
+      end
+    in
+    ln > 0 && scan 0
+
+  (* XPath's round(): halves go toward positive infinity *)
+  let xpath_round x =
+    let f = Float.floor x in
+    if x -. f >= 0.5 then f +. 1.0 else f
+
+  (* fn:substring: the characters at 1-based positions p with
+     round(start) <= p < stop; a NaN bound selects none *)
+  let substring s start stop =
+    let from = Float.max (xpath_round start) 1.0 in
+    let upto = Float.min stop (float_of_int (String.length s + 1)) in
+    if from < upto then String.sub s (int_of_float from - 1) (int_of_float (upto -. from))
+    else ""
 
   (* --- navigation over both stored and constructed nodes ---------------- *)
 
@@ -670,7 +745,7 @@ module Make (S : Store_sig.S) = struct
      backend provides them — the structural-summary fast path. *)
   let descendants_named ctx it tag =
     match it with
-    | D -> Option.map (fun a -> Array.to_list (Array.map (fun n -> N n) a)) (tag_array ctx.c tag)
+    | D -> Option.map items_of_extent (tag_array ctx.c tag)
     | N n -> (
         match (tag_array ctx.c tag, S.subtree_interval ctx.c.store n) with
         | Some extent, Some (lo, hi) ->
@@ -893,12 +968,18 @@ module Make (S : Store_sig.S) = struct
           apply_predicates ctx selected preds
       | Ast.Attribute ->
           let selected =
-            match test with
-            | Ast.Name a ->
+            match (test, it) with
+            | Ast.Name a, N n -> (
+                (* one lookup instead of a record per attribute *)
+                let a = Symbol.to_string a in
+                match S.attribute ctx.c.store n a with
+                | Some v -> [ A { aowner_order = S.order ctx.c.store n; aname = a; avalue = v } ]
+                | None -> [])
+            | Ast.Name a, _ ->
                 let a = Symbol.to_string a in
                 List.filter (fun x -> String.equal (item_name ctx x) a) (attribute_items ctx it)
-            | Ast.Star -> attribute_items ctx it
-            | Ast.Text_test | Ast.Any_kind -> []
+            | Ast.Star, _ -> attribute_items ctx it
+            | (Ast.Text_test | Ast.Any_kind), _ -> []
           in
           apply_predicates ctx selected preds
       | Ast.Parent ->
@@ -1413,30 +1494,20 @@ module Make (S : Store_sig.S) = struct
         | it :: _ -> [ Num (Option.value ~default:Float.nan (to_number_opt it)) ])
     | "contains", [ a; b ] ->
         let s = string_arg ctx a and sub = string_arg ctx b in
-        [ Bool (contains_substring s sub) ]
+        [ Bool (find_substring s sub >= 0) ]
     | "starts-with", [ a; b ] ->
         let s = string_arg ctx a and prefix = string_arg ctx b in
-        [
-          Bool
-            (String.length s >= String.length prefix
-            && String.sub s 0 (String.length prefix) = prefix);
-        ]
+        [ Bool (occurs_at s 0 prefix) ]
     | "ends-with", [ a; b ] ->
         let s = string_arg ctx a and suffix = string_arg ctx b in
-        let ls = String.length s and lx = String.length suffix in
-        [ Bool (ls >= lx && String.sub s (ls - lx) lx = suffix) ]
+        [ Bool (occurs_at s (String.length s - String.length suffix) suffix) ]
     | "string-length", [ e ] -> [ Num (float_of_int (String.length (string_arg ctx e))) ]
     | "substring", [ e; start ] ->
-        let s = string_arg ctx e and st = number_arg ctx start in
-        let from = max 0 (int_of_float st - 1) in
-        [ Str (if from >= String.length s then "" else String.sub s from (String.length s - from)) ]
-    | "substring", [ e; start; len ] ->
         let s = string_arg ctx e in
-        let st = int_of_float (number_arg ctx start) - 1 in
-        let ln = int_of_float (number_arg ctx len) in
-        let from = max 0 st in
-        let upto = min (String.length s) (st + ln) in
-        [ Str (if upto <= from then "" else String.sub s from (upto - from)) ]
+        [ Str (substring s (number_arg ctx start) Float.infinity) ]
+    | "substring", [ e; start; len ] ->
+        let s = string_arg ctx e and start = number_arg ctx start in
+        [ Str (substring s start (xpath_round start +. xpath_round (number_arg ctx len))) ]
     | "concat", args -> [ Str (String.concat "" (List.map (string_arg ctx) args)) ]
     | "string-join", [ e; sep ] ->
         let sep = string_arg ctx sep in
@@ -1444,22 +1515,13 @@ module Make (S : Store_sig.S) = struct
         [ Str (String.concat sep parts) ]
     | "substring-before", [ a; b ] ->
         let s = string_arg ctx a and sep = string_arg ctx b in
-        let ls = String.length s and lx = String.length sep in
-        let rec at i =
-          if lx = 0 || i + lx > ls then None
-          else if String.sub s i lx = sep then Some i
-          else at (i + 1)
-        in
-        [ Str (match at 0 with Some i -> String.sub s 0 i | None -> "") ]
+        let i = if sep = "" then -1 else find_substring s sep in
+        [ Str (if i < 0 then "" else String.sub s 0 i) ]
     | "substring-after", [ a; b ] ->
         let s = string_arg ctx a and sep = string_arg ctx b in
-        let ls = String.length s and lx = String.length sep in
-        let rec at i =
-          if lx = 0 || i + lx > ls then None
-          else if String.sub s i lx = sep then Some (i + lx)
-          else at (i + 1)
-        in
-        [ Str (match at 0 with Some i -> String.sub s i (ls - i) | None -> "") ]
+        let i = if sep = "" then -1 else find_substring s sep in
+        let from = i + String.length sep in
+        [ Str (if i < 0 then "" else String.sub s from (String.length s - from)) ]
     | "reverse", [ e ] -> List.rev (eval ctx e)
     | "subsequence", [ e; start ] ->
         let v = eval ctx e in
@@ -1538,7 +1600,7 @@ module Make (S : Store_sig.S) = struct
         | None ->
             let extent =
               match tag_array ctx.c tag with
-              | Some a -> Array.to_list (Array.map (fun n -> N n) a)
+              | Some a -> items_of_extent a
               | None -> collect_descendants_named ctx D tag
             in
             let needle = String.lowercase_ascii word in
@@ -1612,34 +1674,6 @@ module Make (S : Store_sig.S) = struct
               | `Max -> if String.compare a b >= 0 then a else b
             in
             [ Str (List.fold_left pick (List.hd strs) (List.tl strs)) ])
-
-  and contains_token s needle =
-    (* token = maximal alphanumeric run, compared lowercase *)
-    let n = String.length s and ln = String.length needle in
-    let is_alnum c =
-      (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    in
-    let rec scan i =
-      if i >= n then false
-      else if not (is_alnum s.[i]) then scan (i + 1)
-      else begin
-        let j = ref i in
-        while !j < n && is_alnum s.[!j] do
-          incr j
-        done;
-        if !j - i = ln && String.lowercase_ascii (String.sub s i ln) = needle then true
-        else scan !j
-      end
-    in
-    ln > 0 && scan 0
-
-  and contains_substring s sub =
-    let ls = String.length s and lx = String.length sub in
-    if lx = 0 then true
-    else if lx > ls then false
-    else
-      let rec at i = if i + lx > ls then false else String.sub s i lx = sub || at (i + 1) in
-      at 0
 
   (* --- entry points ------------------------------------------------------ *)
 

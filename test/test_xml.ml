@@ -230,6 +230,112 @@ let prop_canonical_stable =
       let back = Sax.parse_string ~keep_ws:true c1 in
       String.equal c1 (Canonical.of_node back))
 
+(* --- property: canonical text written in one pass ------------------------ *)
+
+(* The former canonical writer, kept as the oracle: each run of adjacent
+   text is joined with String.concat, whitespace-normalized to a string,
+   escaped to another, and every attribute list is sorted. *)
+module Canonical_oracle = struct
+  let normalize_ws s =
+    let buf = Buffer.create (String.length s) in
+    let pending = ref false in
+    String.iter
+      (fun c ->
+        if c = ' ' || c = '\t' || c = '\n' || c = '\r' then pending := true
+        else begin
+          if !pending && Buffer.length buf > 0 then Buffer.add_char buf ' ';
+          pending := false;
+          Buffer.add_char buf c
+        end)
+      s;
+    Buffer.contents buf
+
+  let rec emit buf (n : Dom.node) =
+    match n.Dom.desc with
+    | Dom.Text s -> Buffer.add_string buf (Serialize.escape_text (normalize_ws s))
+    | Dom.Element e ->
+        Buffer.add_string buf ("<" ^ Symbol.to_string e.Dom.name);
+        List.iter
+          (fun (k, v) -> Buffer.add_string buf (" " ^ k ^ "=\"" ^ Serialize.escape_attr v ^ "\""))
+          (List.sort compare e.Dom.attrs);
+        Buffer.add_char buf '>';
+        let rec walk = function
+          | [] -> ()
+          | ({ Dom.desc = Dom.Text _; _ } as c : Dom.node) :: rest ->
+              let texts, rest' = split_texts [] (c :: rest) in
+              let joined = normalize_ws (String.concat "" texts) in
+              if joined <> "" then Buffer.add_string buf (Serialize.escape_text joined);
+              walk rest'
+          | c :: rest ->
+              emit buf c;
+              walk rest
+        and split_texts acc = function
+          | ({ Dom.desc = Dom.Text s; _ } : Dom.node) :: rest -> split_texts (s :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        walk e.Dom.children;
+        Buffer.add_string buf ("</" ^ Symbol.to_string e.Dom.name ^ ">")
+
+  let of_node n =
+    let buf = Buffer.create 256 in
+    emit buf n;
+    Buffer.contents buf
+
+  let of_nodes nodes = String.concat "\n" (List.map of_node nodes)
+end
+
+module Prng = Xmark_prng.Prng
+module Check = Xmark_check
+
+(* Hostile text: blanks of every kind, at both ends and in runs,
+   whitespace-only and empty nodes, and every character escaping touches. *)
+let hostile_text g =
+  let pool = "  \t\n\r&<>\"'ab" in
+  String.init (Prng.int g 8) (fun _ -> pool.[Prng.int g (String.length pool)])
+
+(* Children are drawn without coalescing, so adjacent text nodes meet with
+   whitespace on either side of the boundary; attribute keys come in
+   drawn order, so most lists are unsorted. *)
+let rec hostile_tree g depth =
+  let keys = [| "b"; "a"; "id"; "c" |] in
+  Prng.shuffle g keys;
+  let attrs = List.init (Prng.int g 4) (fun i -> (keys.(i), hostile_text g)) in
+  let rec kids k acc =
+    if k = 0 then List.rev acc
+    else
+      let child =
+        if depth = 0 || Prng.chance g 0.6 then Dom.text (hostile_text g)
+        else hostile_tree g (depth - 1)
+      in
+      kids (k - 1) (child :: acc)
+  in
+  Dom.element ~attrs ~children:(kids (Prng.int g 6) []) (Prng.pick g [| "a"; "item"; "b" |])
+
+let canonical_one_pass =
+  {
+    Check.Property.name = "canonical-one-pass";
+    gen = (fun g -> hostile_tree g 3);
+    shrink = Check.Shrink.dom;
+    prop =
+      (fun root ->
+        let top = Dom.children root in
+        if not (String.equal (Canonical.of_node root) (Canonical_oracle.of_node root)) then
+          Error "of_node differs from the oracle"
+        else if not (String.equal (Canonical.of_nodes top) (Canonical_oracle.of_nodes top)) then
+          Error "of_nodes differs from the oracle"
+        else Ok (if List.length top > 1 then "sequence" else "single"));
+    to_bytes = Serialize.to_string;
+    ext = "xml";
+  }
+
+let test_canonical_one_pass () =
+  let report = Check.Property.run ~count:2000 ~seed:25L canonical_one_pass in
+  match report.Check.Property.r_failure with
+  | None -> ()
+  | Some f ->
+      Alcotest.failf "%s after %d cases: %s" f.Check.Property.f_message
+        f.Check.Property.f_iteration f.Check.Property.f_repr
+
 (* --- fuzzing: the parser must terminate with a value or Parse_error ---------- *)
 
 let arb_bytes =
@@ -363,6 +469,7 @@ let () =
           Alcotest.test_case "whitespace" `Quick test_canonical_ws;
           Alcotest.test_case "distinguishes" `Quick test_canonical_distinguishes;
           Alcotest.test_case "empty forms" `Quick test_canonical_empty_forms;
+          Alcotest.test_case "one pass = three-copy oracle" `Quick test_canonical_one_pass;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -181,10 +181,25 @@ let test_string_functions () =
   check_canon "contains" "true" {|contains("seahorse", "horse")|};
   check_canon "not contains" "false" {|contains("seahorse", "zebra")|};
   check_canon "starts-with" "true" {|starts-with("seahorse", "sea")|};
+  check_canon "starts-with longer prefix" "false" {|starts-with("sea", "seahorse")|};
+  check_canon "ends-with" "true" {|ends-with("seahorse", "horse")|};
+  check_canon "ends-with longer suffix" "false" {|ends-with("sea", "seahorse")|};
+  check_canon "contains empty" "true" {|contains("sea", "")|};
+  check_canon "contains at the end" "true" {|contains("seahorse", "rse")|};
   check_canon "string-length" "8" {|string-length("seahorse")|};
   check_canon "concat" "ab" {|concat("a", "b")|};
   check_canon "substring" "horse" {|substring("seahorse", 4)|};
   check_canon "substring 3-arg" "hor" {|substring("seahorse", 4, 3)|};
+  (* start and length go through round(); a NaN bound selects nothing *)
+  check_canon "substring rounds start and length" "234" {|substring("12345", 1.5, 2.6)|};
+  check_canon "substring rounds start" "2345" {|substring("12345", 1.5)|};
+  check_canon "substring before position 1" "12" {|substring("12345", 0, 3)|};
+  check_canon "substring NaN start" "" {|substring("12345", number("x"), 3)|};
+  check_canon "substring NaN start 2-arg" "" {|substring("12345", number("x"))|};
+  check_canon "substring NaN length" "" {|substring("12345", 1, number("x"))|};
+  check_canon "substring infinite length" "12345" {|substring("12345", -42, 1 div 0)|};
+  check_canon "substring infinite start" "" {|substring("12345", -1 div 0, 1 div 0)|};
+  check_canon "substring halves round up" "12" {|substring("12345", -2.5, 5)|};
   check_canon "upper" "HI" {|upper-case("hi")|};
   check_canon "string of node" "Ann" "string(/site/people/person[1]/name)";
   check_canon "string of number" "40" "string(40)";
@@ -304,6 +319,44 @@ let test_before_errors_on_sequences () =
   match run "/site/people/person << /site/items/item" with
   | exception E.Runtime_error _ -> ()
   | _ -> Alcotest.fail "<< should reject multi-node operands"
+
+(* --- document order and duplicates on every Eval-backed system ----------------- *)
+
+(* Nested items and several attributes per person: step results from
+   overlapping, repeated or reversed context nodes must come back in
+   document order without duplicates, on every store. *)
+let order_src =
+  {|<site>
+  <people>
+    <person id="p1" income="10"><name>Ann</name></person>
+    <person id="p2" income="20" tier="gold"><name>Bob</name></person>
+    <person id="p3"><name>Cat</name></person>
+  </people>
+  <regions><europe><item id="i1"><item id="i2"/></item></europe><asia><item id="i3"/></asia></regions>
+</site>|}
+
+let order_cases =
+  let names = "<name>Ann</name>\n<name>Bob</name>\n<name>Cat</name>" in
+  let attrs = "p1\n10\np2\n20\ngold\np3" in
+  [
+    ("nested descendant contexts", "count(/site//*//item) = count(/site//item)", "true");
+    ("nested descendant count", "count(/site//*//item)", "3");
+    ("nested descendant attributes", "/site//*//item/@id", "i1\ni2\ni3");
+    ("repeated context nodes", "(/site/people/person, /site/people/person)/name", names);
+    ("reversed context nodes", "reverse(/site/people/person)/name", names);
+    ("several attributes per owner", "/site/people/person/@*", attrs);
+    ("repeated attribute owners", "(/site/people/person, /site/people/person)/@*", attrs);
+    ("named attribute, repeated owners", "(/site/people/person, /site/people/person)/@income",
+      "10\n20");
+  ]
+
+let test_order_on system () =
+  let session = Xmark_core.Runner.load ~source:(`Text order_src) system in
+  List.iter
+    (fun (name, q, expected) ->
+      Alcotest.(check string) (name ^ ": " ^ q) expected
+        (Xmark_core.Runner.canonical (Xmark_core.Runner.run_text_session session q)))
+    order_cases
 
 (* --- optimizer: rewrites must preserve semantics ---------------------------- *)
 
@@ -510,6 +563,11 @@ let () =
           Alcotest.test_case "corner semantics" `Quick test_corner_semantics;
           Alcotest.test_case "node-order comparison arity" `Quick test_before_errors_on_sequences;
         ] );
+      ( "document order",
+        List.map
+          (fun sys ->
+            Alcotest.test_case (Xmark_core.Runner.system_name sys) `Quick (test_order_on sys))
+          Xmark_core.Runner.[ A; B; D; E; F; G ] );
       ( "accelerators",
         [ Alcotest.test_case "same results with and without" `Quick test_accelerator_equivalence ] );
       ( "optimizer",
