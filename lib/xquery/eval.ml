@@ -4,7 +4,12 @@ module Stats = Xmark_stats
 module Vec = Xmark_relational.Vec_ops
 
 module Make (S : Store_sig.S) = struct
-  type attr = { aowner_order : int; aname : string; avalue : string }
+  type attr = {
+    aowner_order : int;
+    aowner : Dom.node option;  (* the constructed element carrying it; None when stored *)
+    aname : string;
+    avalue : string;
+  }
 
   type item =
     | D  (* the (virtual) document node above the document element *)
@@ -27,10 +32,33 @@ module Make (S : Store_sig.S) = struct
 
   type join_table = Unusable | Built of item array * (string, int list) Hashtbl.t
 
+  (* How one FLWOR runs, derived once per compiled query. *)
+  type flwor_plan = {
+    join : (string * Ast.expr * Ast.expr * Ast.expr) option;
+        (* [for $v in SRC where KEY = PROBE]: (v, SRC, KEY, PROBE) *)
+    ineq : (string * Ast.expr * Ast.expr * Ast.cmp * Ast.expr) option;
+        (* [for $v in SRC where KEY op PROBE return $v], op an inequality:
+           (v, SRC, KEY, op, PROBE) with PROBE on the left of op *)
+    pre : Ast.expr list;  (* where conjuncts of a FLWOR without clauses *)
+    steps : bind_step list;  (* one per clause *)
+    invariants : Ast.expr list;
+        (* maximal subexpressions of where, order by and return that read
+           none of the FLWOR's variables, no focus, construct nothing and
+           call no user function: evaluated at most once per evaluation *)
+  }
+
+  and bind_step = {
+    clause : Ast.clause;
+    shared : bool;  (* a for source that reads no variable: once per run *)
+    mutable source : value option;  (* its value in the current run *)
+    tests : Ast.expr list;  (* where conjuncts whose variables are bound here *)
+  }
+
   type compiled = {
     store : S.t;
     query : Ast.query;
     funcs : (string, string list * Ast.expr) Hashtbl.t;
+    flwor_plans : (Ast.flwor * flwor_plan) list;  (* keyed by physical identity *)
     tag_arrays : (Symbol.t, S.node array option) Hashtbl.t;
         (* doc-order extent per tag, when the backend offers one *)
     optimize : bool;
@@ -54,156 +82,275 @@ module Make (S : Store_sig.S) = struct
     citem : item option;  (* context item inside predicates *)
     cpos : int;
     csize : int;
+    memo : (Ast.expr * value Lazy.t) list;
+        (* invariants of the enclosing FLWOR evaluations, by physical identity *)
   }
+
+  (* --- static analysis ---------------------------------------------------- *)
+
+  (* Direct subexpressions, step predicates included. *)
+  let children (e : Ast.expr) =
+    match e with
+    | Ast.Number _ | Ast.Literal _ | Ast.Var _ | Ast.Root | Ast.Context -> []
+    | Ast.Sequence es | Ast.Call (_, es) -> es
+    | Ast.Path (o, steps) -> o :: List.concat_map (fun { Ast.preds; _ } -> preds) steps
+    | Ast.Filter (o, preds) -> o :: preds
+    | Ast.Flwor f ->
+        List.map (function Ast.For (_, e') | Ast.Let (_, e') -> e') f.Ast.clauses
+        @ Option.to_list f.Ast.where
+        @ List.map (fun { Ast.key; _ } -> key) f.Ast.order
+        @ [ f.Ast.ret ]
+    | Ast.Quantified (_, binds, sat) -> List.map snd binds @ [ sat ]
+    | Ast.If (a, b, c) -> [ a; b; c ]
+    | Ast.Or (a, b) | Ast.And (a, b) | Ast.Compare (_, a, b) | Ast.Arith (_, a, b)
+    | Ast.Node_before (a, b) | Ast.Node_after (a, b) ->
+        [ a; b ]
+    | Ast.Neg a -> [ a ]
+    | Ast.Elem_ctor (_, attrs, content) ->
+        List.concat_map
+          (fun (_, pieces) ->
+            List.filter_map (function Ast.A_expr e' -> Some e' | Ast.A_text _ -> None) pieces)
+          attrs
+        @ List.filter_map (function Ast.C_expr e' -> Some e' | Ast.C_text _ -> None) content
+
+  let clause_var = function Ast.For (v, _) | Ast.Let (v, _) -> v
+
+  (* Every expression of the query, function bodies included, pre-order. *)
+  let iter_query f (q : Ast.query) =
+    let rec walk e =
+      f e;
+      List.iter walk (children e)
+    in
+    List.iter (fun { Ast.body; _ } -> walk body) q.Ast.functions;
+    walk q.Ast.main
+
+  (* Variables an expression references (a conservative dependence test). *)
+  let rec expr_vars acc (e : Ast.expr) =
+    match e with
+    | Ast.Var v -> v :: acc
+    | _ -> List.fold_left expr_vars acc (children e)
+
+  let uses_var v e = List.mem v (expr_vars [] e)
+
+  (* Whether an expression reads the focus it is evaluated under: the
+     context item, position() or last().  Predicate bodies set a focus of
+     their own, so they are not searched. *)
+  let rec uses_focus (e : Ast.expr) =
+    match e with
+    | Ast.Context | Ast.Call (("string" | "name" | "position" | "last"), []) -> true
+    | Ast.Path (o, _) | Ast.Filter (o, _) -> uses_focus o
+    | _ -> List.exists uses_focus (children e)
+
+  (* A user function's body reads its caller's variables too. *)
+  let rec calls_user funcs (e : Ast.expr) =
+    match e with
+    | Ast.Call (f, _) when Hashtbl.mem funcs f -> true
+    | _ -> List.exists (calls_user funcs) (children e)
+
+  let rec constructs (e : Ast.expr) =
+    match e with Ast.Elem_ctor _ -> true | _ -> List.exists constructs (children e)
+
+  (* [e] reads none of [vars] and no focus, and one result of it may stand
+     in for every evaluation: it makes no fresh nodes *)
+  let invariant funcs vars e =
+    (not (List.exists (fun v -> List.mem v vars) (expr_vars [] e)))
+    && (not (uses_focus e))
+    && (not (constructs e))
+    && not (calls_user funcs e)
+
+  (* A join side cached across evaluations of its FLWOR: SRC must read
+     no variable and KEY none but $v, and neither may read the focus (a
+     relative SRC such as [watches/watch] differs per context item). *)
+  let cacheable_source funcs src = expr_vars [] src = [] && invariant funcs [] src
+
+  let cacheable_key funcs v key =
+    List.for_all (String.equal v) (expr_vars [] key) && invariant funcs [] key
+
+  (* Hash-join shape:  for $v in SRC where KEY($v) = PROBE(outer)  with a
+     cacheable SRC and KEY, the probe side not reading $v at all. *)
+  let join_pattern funcs f =
+    match f.Ast.clauses with
+    | [ Ast.For (v, src) ] when cacheable_source funcs src -> (
+        match f.Ast.where with
+        | Some (Ast.Compare (Ast.Eq, lhs, rhs)) ->
+            if uses_var v lhs && cacheable_key funcs v lhs && not (uses_var v rhs) then
+              Some (v, src, lhs, rhs)
+            else if uses_var v rhs && cacheable_key funcs v rhs && not (uses_var v lhs) then
+              Some (v, src, rhs, lhs)
+            else None
+        | _ -> None)
+    | _ -> None
+
+  (* Statically numeric: every item the expression yields is a number, so
+     the general comparison is guaranteed to be numeric (untyped-vs-untyped
+     would be a string comparison, which the fusion must not change). *)
+  let rec always_numeric (e : Ast.expr) =
+    match e with
+    | Ast.Number _ -> true
+    | Ast.Arith _ | Ast.Neg _ -> true
+    | Ast.Call (("count" | "sum" | "avg" | "number" | "round" | "floor" | "ceiling" | "abs"
+                | "string-length" | "last" | "position"), _) ->
+        true
+    | Ast.If (_, t, e') -> always_numeric t && always_numeric e'
+    | Ast.Sequence es -> es <> [] && List.for_all always_numeric es
+    | _ -> false
+
+  (* count(for $v in SRC where A op B return $v) with a numeric inequality
+     between a $v-only side and an outer side, as PROBE op KEY *)
+  let ineq_pattern funcs f =
+    match f.Ast.clauses with
+    | [ Ast.For (v, src) ] when cacheable_source funcs src -> (
+        match (f.Ast.where, f.Ast.order, f.Ast.ret) with
+        | Some (Ast.Compare (op, lhs, rhs)), [], Ast.Var rv
+          when String.equal rv v
+               && (op = Ast.Gt || op = Ast.Lt || op = Ast.Ge || op = Ast.Le)
+               && (always_numeric lhs || always_numeric rhs) ->
+            if uses_var v lhs && cacheable_key funcs v lhs && not (uses_var v rhs) then
+              (* KEY($v) op PROBE  — flip to PROBE op' KEY *)
+              let flip = function
+                | Ast.Gt -> Ast.Lt | Ast.Lt -> Ast.Gt | Ast.Ge -> Ast.Le | Ast.Le -> Ast.Ge
+                | o -> o
+              in
+              Some (v, src, lhs, flip op, rhs)
+            else if uses_var v rhs && cacheable_key funcs v rhs && not (uses_var v lhs) then
+              Some (v, src, rhs, op, lhs)
+            else None
+        | _ -> None)
+    | _ -> None
+
+  (* Loop-invariant code motion for the nested-loop plan.  A for source
+     that reads no variable is evaluated once per run.  Each [and]
+     conjunct of where is tested right after the last clause binding a
+     variable it reads (after all clauses if it calls a user function,
+     whose body may read any of them), so a failing test skips the
+     clauses after it.  And the maximal invariants of where, order by and
+     return are evaluated lazily, at most once per evaluation of the
+     FLWOR: on first use, so an empty loop raises nothing new. *)
+  let plan_flwor funcs (f : Ast.flwor) =
+    let n = List.length f.Ast.clauses in
+    let names = List.map clause_var f.Ast.clauses in
+    let position w =
+      if calls_user funcs w then n
+      else
+        let last_binder v =
+          List.fold_left max 0
+            (List.mapi (fun i name -> if String.equal name v then i + 1 else 0) names)
+        in
+        min n (List.fold_left (fun p v -> max p (last_binder v)) 1 (expr_vars [] w))
+    in
+    let rec conjuncts = function Ast.And (a, b) -> conjuncts a @ conjuncts b | w -> [ w ] in
+    let where = match f.Ast.where with Some w -> conjuncts w | None -> [] in
+    let tests_at p = List.filter (fun w -> position w = p) where in
+    (* maximal invariant subexpressions; variables bound inside count as
+       the FLWOR's own *)
+    let rec invariants bound acc (e : Ast.expr) =
+      match e with
+      | Ast.Number _ | Ast.Literal _ | Ast.Var _ | Ast.Root | Ast.Context -> acc
+      | _ when invariant funcs bound e -> e :: acc
+      | Ast.Flwor g ->
+          List.fold_left (invariants (List.map clause_var g.Ast.clauses @ bound)) acc (children e)
+      | Ast.Quantified (_, binds, _) ->
+          List.fold_left (invariants (List.map fst binds @ bound)) acc (children e)
+      | _ -> List.fold_left (invariants bound) acc (children e)
+    in
+    {
+      join = join_pattern funcs f;
+      ineq = ineq_pattern funcs f;
+      pre = tests_at 0;
+      steps =
+        List.mapi
+          (fun i clause ->
+            let shared =
+              match clause with
+              | Ast.For (_, src) -> cacheable_source funcs src
+              | Ast.Let _ -> false
+            in
+            { clause; shared; source = None; tests = tests_at (i + 1) })
+          f.Ast.clauses;
+      invariants =
+        List.fold_left (invariants names) []
+          (Option.to_list f.Ast.where
+          @ List.map (fun { Ast.key; _ } -> key) f.Ast.order
+          @ [ f.Ast.ret ]);
+    }
 
   (* Touch the store's metadata for every name in the query: the catalog
      lookups that dominate compilation for fragmenting mappings (Table 2). *)
   let static_check c =
-    let rec walk_expr (e : Ast.expr) =
-      match e with
-      | Ast.Number _ | Ast.Literal _ | Ast.Var _ | Ast.Root | Ast.Context -> ()
-      | Ast.Sequence es -> List.iter walk_expr es
-      | Ast.Path (o, steps) ->
-          walk_expr o;
-          List.iter
-            (fun { Ast.test; preds; _ } ->
-              (match test with
-              | Ast.Name n -> ignore (S.tag_count c.store n)
-              | Ast.Star | Ast.Text_test | Ast.Any_kind -> ());
-              List.iter walk_expr preds)
-            steps
-      | Ast.Filter (e, preds) ->
-          walk_expr e;
-          List.iter walk_expr preds
-      | Ast.Flwor f ->
-          List.iter
-            (function Ast.For (_, e) | Ast.Let (_, e) -> walk_expr e)
-            f.clauses;
-          Option.iter walk_expr f.where;
-          List.iter (fun { Ast.key; _ } -> walk_expr key) f.order;
-          walk_expr f.ret
-      | Ast.Quantified (_, binds, sat) ->
-          List.iter (fun (_, e) -> walk_expr e) binds;
-          walk_expr sat
-      | Ast.If (a, b, c') ->
-          walk_expr a;
-          walk_expr b;
-          walk_expr c'
-      | Ast.Or (a, b)
-      | Ast.And (a, b)
-      | Ast.Compare (_, a, b)
-      | Ast.Arith (_, a, b)
-      | Ast.Node_before (a, b)
-      | Ast.Node_after (a, b) ->
-          walk_expr a;
-          walk_expr b
-      | Ast.Neg a -> walk_expr a
-      | Ast.Call (_, args) -> List.iter walk_expr args
-      | Ast.Elem_ctor (_, attrs, content) ->
-          List.iter
-            (fun (_, pieces) ->
-              List.iter (function Ast.A_expr e -> walk_expr e | Ast.A_text _ -> ()) pieces)
-            attrs;
-          List.iter (function Ast.C_expr e -> walk_expr e | Ast.C_text _ -> ()) content
-    in
-    List.iter (fun { Ast.body; _ } -> walk_expr body) c.query.Ast.functions;
-    walk_expr c.query.Ast.main
+    iter_query
+      (function
+        | Ast.Path (_, steps) ->
+            List.iter
+              (fun { Ast.test; _ } ->
+                match test with
+                | Ast.Name n -> ignore (S.tag_count c.store n)
+                | Ast.Star | Ast.Text_test | Ast.Any_kind -> ())
+              steps
+        | _ -> ())
+      c.query
 
   (* Rewrite (optimize only):  let $v := FLWOR ... count($v)  where every
      use of $v is count($v) becomes a direct count(FLWOR), enabling the
      count-fusion join below (Q11/Q12's shape). *)
   let rec occurrences v (e : Ast.expr) =
     (* (all uses, uses as count($v)) *)
-    let sum f xs = List.fold_left (fun (a, b) x -> let a', b' = f x in (a + a', b + b')) (0, 0) xs in
     match e with
     | Ast.Var x -> ((if String.equal x v then 1 else 0), 0)
     | Ast.Call (("count" | "fn:count"), [ Ast.Var x ]) when String.equal x v -> (1, 1)
-    | Ast.Number _ | Ast.Literal _ | Ast.Root | Ast.Context -> (0, 0)
-    | Ast.Sequence es -> sum (occurrences v) es
-    | Ast.Path (o, steps) ->
-        let a = occurrences v o in
-        let b = sum (fun { Ast.preds; _ } -> sum (occurrences v) preds) steps in
-        (fst a + fst b, snd a + snd b)
-    | Ast.Filter (e', preds) ->
-        let a = occurrences v e' and b = sum (occurrences v) preds in
-        (fst a + fst b, snd a + snd b)
-    | Ast.Flwor f ->
-        sum Fun.id
-          [
-            sum (function Ast.For (_, e') | Ast.Let (_, e') -> occurrences v e') f.Ast.clauses;
-            (match f.Ast.where with Some w -> occurrences v w | None -> (0, 0));
-            sum (fun { Ast.key; _ } -> occurrences v key) f.Ast.order;
-            occurrences v f.Ast.ret;
-          ]
-    | Ast.Quantified (_, binds, sat) ->
-        let a = sum (fun (_, e') -> occurrences v e') binds and b = occurrences v sat in
-        (fst a + fst b, snd a + snd b)
-    | Ast.If (a, b, c) -> sum (occurrences v) [ a; b; c ]
-    | Ast.Or (a, b) | Ast.And (a, b) | Ast.Compare (_, a, b) | Ast.Arith (_, a, b)
-    | Ast.Node_before (a, b) | Ast.Node_after (a, b) ->
-        sum (occurrences v) [ a; b ]
-    | Ast.Neg a -> occurrences v a
-    | Ast.Call (_, args) -> sum (occurrences v) args
-    | Ast.Elem_ctor (_, attrs, content) ->
-        let a =
-          sum
-            (fun (_, pieces) ->
-              sum (function Ast.A_expr e' -> occurrences v e' | Ast.A_text _ -> (0, 0)) pieces)
-            attrs
-        in
-        let b =
-          sum (function Ast.C_expr e' -> occurrences v e' | Ast.C_text _ -> (0, 0)) content
-        in
-        (fst a + fst b, snd a + snd b)
+    | _ ->
+        List.fold_left
+          (fun (a, b) x ->
+            let a', b' = occurrences v x in
+            (a + a', b + b'))
+          (0, 0) (children e)
 
-  let rec substitute_count v inner (e : Ast.expr) : Ast.expr =
-    let go = substitute_count v inner in
+  (* [e] with [g] applied to each direct subexpression, in [children]'s
+     positions *)
+  let map_children g (e : Ast.expr) : Ast.expr =
     match e with
-    | Ast.Call (("count" | "fn:count"), [ Ast.Var x ]) when String.equal x v ->
-        Ast.Call ("count", [ inner ])
     | Ast.Number _ | Ast.Literal _ | Ast.Var _ | Ast.Root | Ast.Context -> e
-    | Ast.Sequence es -> Ast.Sequence (List.map go es)
+    | Ast.Sequence es -> Ast.Sequence (List.map g es)
     | Ast.Path (o, steps) ->
-        Ast.Path (go o, List.map (fun st -> { st with Ast.preds = List.map go st.Ast.preds }) steps)
-    | Ast.Filter (e', preds) -> Ast.Filter (go e', List.map go preds)
+        Ast.Path (g o, List.map (fun st -> { st with Ast.preds = List.map g st.Ast.preds }) steps)
+    | Ast.Filter (e', preds) -> Ast.Filter (g e', List.map g preds)
     | Ast.Flwor f ->
         Ast.Flwor
           {
             clauses =
               List.map
-                (function Ast.For (x, e') -> Ast.For (x, go e') | Ast.Let (x, e') -> Ast.Let (x, go e'))
+                (function
+                  | Ast.For (x, e') -> Ast.For (x, g e')
+                  | Ast.Let (x, e') -> Ast.Let (x, g e'))
                 f.Ast.clauses;
-            where = Option.map go f.Ast.where;
-            order = List.map (fun o -> { o with Ast.key = go o.Ast.key }) f.Ast.order;
-            ret = go f.Ast.ret;
+            where = Option.map g f.Ast.where;
+            order = List.map (fun o -> { o with Ast.key = g o.Ast.key }) f.Ast.order;
+            ret = g f.Ast.ret;
           }
     | Ast.Quantified (q, binds, sat) ->
-        Ast.Quantified (q, List.map (fun (x, e') -> (x, go e')) binds, go sat)
-    | Ast.If (a, b, c) -> Ast.If (go a, go b, go c)
-    | Ast.Or (a, b) -> Ast.Or (go a, go b)
-    | Ast.And (a, b) -> Ast.And (go a, go b)
-    | Ast.Compare (op, a, b) -> Ast.Compare (op, go a, go b)
-    | Ast.Arith (op, a, b) -> Ast.Arith (op, go a, go b)
-    | Ast.Neg a -> Ast.Neg (go a)
-    | Ast.Node_before (a, b) -> Ast.Node_before (go a, go b)
-    | Ast.Node_after (a, b) -> Ast.Node_after (go a, go b)
-    | Ast.Call (f, args) -> Ast.Call (f, List.map go args)
+        Ast.Quantified (q, List.map (fun (x, e') -> (x, g e')) binds, g sat)
+    | Ast.If (a, b, c) -> Ast.If (g a, g b, g c)
+    | Ast.Or (a, b) -> Ast.Or (g a, g b)
+    | Ast.And (a, b) -> Ast.And (g a, g b)
+    | Ast.Compare (op, a, b) -> Ast.Compare (op, g a, g b)
+    | Ast.Arith (op, a, b) -> Ast.Arith (op, g a, g b)
+    | Ast.Neg a -> Ast.Neg (g a)
+    | Ast.Node_before (a, b) -> Ast.Node_before (g a, g b)
+    | Ast.Node_after (a, b) -> Ast.Node_after (g a, g b)
+    | Ast.Call (f, args) -> Ast.Call (f, List.map g args)
     | Ast.Elem_ctor (tag, attrs, content) ->
         Ast.Elem_ctor
           ( tag,
             List.map
               (fun (k, pieces) ->
-                ( k,
-                  List.map
-                    (function Ast.A_expr e' -> Ast.A_expr (go e') | Ast.A_text t -> Ast.A_text t)
-                    pieces ))
+                (k, List.map (function Ast.A_expr e' -> Ast.A_expr (g e') | p -> p) pieces))
               attrs,
-            List.map
-              (function Ast.C_expr e' -> Ast.C_expr (go e') | Ast.C_text t -> Ast.C_text t)
-              content )
+            List.map (function Ast.C_expr e' -> Ast.C_expr (g e') | t -> t) content )
 
-  let binds_name v clause =
-    match clause with Ast.For (x, _) | Ast.Let (x, _) -> String.equal x v
+  let rec substitute_count v inner (e : Ast.expr) : Ast.expr =
+    match e with
+    | Ast.Call (("count" | "fn:count"), [ Ast.Var x ]) when String.equal x v ->
+        Ast.Call ("count", [ inner ])
+    | _ -> map_children (substitute_count v inner) e
 
   let rec inline_counted_lets (e : Ast.expr) : Ast.expr =
     match e with
@@ -212,7 +359,8 @@ module Make (S : Store_sig.S) = struct
           | [] -> ([], Fun.id)
           | (Ast.Let (v, (Ast.Flwor _ as inner)) as clause) :: rest ->
               let rest', wrap_rest = rewrite_clauses rest in
-              if List.exists (binds_name v) rest' then (clause :: rest', wrap_rest)
+              if List.exists (fun c -> String.equal (clause_var c) v) rest' then
+                (clause :: rest', wrap_rest)
               else
                 let rest_f =
                   {
@@ -237,58 +385,8 @@ module Make (S : Store_sig.S) = struct
           | Ast.Flwor f' -> f'
           | _ -> f
         in
-        Ast.Flwor
-          {
-            clauses =
-              List.map
-                (function
-                  | Ast.For (x, e') -> Ast.For (x, inline_counted_lets e')
-                  | Ast.Let (x, e') -> Ast.Let (x, inline_counted_lets e'))
-                f.Ast.clauses;
-            where = Option.map inline_counted_lets f.Ast.where;
-            order = List.map (fun o -> { o with Ast.key = inline_counted_lets o.Ast.key }) f.Ast.order;
-            ret = inline_counted_lets f.Ast.ret;
-          }
-    | Ast.Number _ | Ast.Literal _ | Ast.Var _ | Ast.Root | Ast.Context -> e
-    | Ast.Sequence es -> Ast.Sequence (List.map inline_counted_lets es)
-    | Ast.Path (o, steps) ->
-        Ast.Path
-          ( inline_counted_lets o,
-            List.map
-              (fun st -> { st with Ast.preds = List.map inline_counted_lets st.Ast.preds })
-              steps )
-    | Ast.Filter (e', preds) ->
-        Ast.Filter (inline_counted_lets e', List.map inline_counted_lets preds)
-    | Ast.Quantified (q, binds, sat) ->
-        Ast.Quantified
-          (q, List.map (fun (x, e') -> (x, inline_counted_lets e')) binds, inline_counted_lets sat)
-    | Ast.If (a, b, c) ->
-        Ast.If (inline_counted_lets a, inline_counted_lets b, inline_counted_lets c)
-    | Ast.Or (a, b) -> Ast.Or (inline_counted_lets a, inline_counted_lets b)
-    | Ast.And (a, b) -> Ast.And (inline_counted_lets a, inline_counted_lets b)
-    | Ast.Compare (op, a, b) -> Ast.Compare (op, inline_counted_lets a, inline_counted_lets b)
-    | Ast.Arith (op, a, b) -> Ast.Arith (op, inline_counted_lets a, inline_counted_lets b)
-    | Ast.Neg a -> Ast.Neg (inline_counted_lets a)
-    | Ast.Node_before (a, b) -> Ast.Node_before (inline_counted_lets a, inline_counted_lets b)
-    | Ast.Node_after (a, b) -> Ast.Node_after (inline_counted_lets a, inline_counted_lets b)
-    | Ast.Call (fname, args) -> Ast.Call (fname, List.map inline_counted_lets args)
-    | Ast.Elem_ctor (tag, attrs, content) ->
-        Ast.Elem_ctor
-          ( tag,
-            List.map
-              (fun (k, pieces) ->
-                ( k,
-                  List.map
-                    (function
-                      | Ast.A_expr e' -> Ast.A_expr (inline_counted_lets e')
-                      | Ast.A_text t -> Ast.A_text t)
-                    pieces ))
-              attrs,
-            List.map
-              (function
-                | Ast.C_expr e' -> Ast.C_expr (inline_counted_lets e')
-                | Ast.C_text t -> Ast.C_text t)
-              content )
+        map_children inline_counted_lets (Ast.Flwor f)
+    | _ -> map_children inline_counted_lets e
 
   (* --- vectorized path plans -------------------------------------------- *)
 
@@ -369,48 +467,9 @@ module Make (S : Store_sig.S) = struct
                 Hashtbl.replace c.vec_plans steps (Vec.compile adapter lsteps, suffix)
             | None -> ()
         in
-        let rec walk (e : Ast.expr) =
-          match e with
-          | Ast.Number _ | Ast.Literal _ | Ast.Var _ | Ast.Root | Ast.Context -> ()
-          | Ast.Sequence es -> List.iter walk es
-          | Ast.Path (o, steps) ->
-              (match o with Ast.Root -> consider steps | _ -> ());
-              walk o;
-              List.iter (fun { Ast.preds; _ } -> List.iter walk preds) steps
-          | Ast.Filter (e', preds) ->
-              walk e';
-              List.iter walk preds
-          | Ast.Flwor f ->
-              List.iter (function Ast.For (_, e') | Ast.Let (_, e') -> walk e') f.clauses;
-              Option.iter walk f.where;
-              List.iter (fun { Ast.key; _ } -> walk key) f.order;
-              walk f.ret
-          | Ast.Quantified (_, binds, sat) ->
-              List.iter (fun (_, e') -> walk e') binds;
-              walk sat
-          | Ast.If (a, b, c') ->
-              walk a;
-              walk b;
-              walk c'
-          | Ast.Or (a, b)
-          | Ast.And (a, b)
-          | Ast.Compare (_, a, b)
-          | Ast.Arith (_, a, b)
-          | Ast.Node_before (a, b)
-          | Ast.Node_after (a, b) ->
-              walk a;
-              walk b
-          | Ast.Neg a -> walk a
-          | Ast.Call (_, args) -> List.iter walk args
-          | Ast.Elem_ctor (_, attrs, content) ->
-              List.iter
-                (fun (_, pieces) ->
-                  List.iter (function Ast.A_expr e' -> walk e' | Ast.A_text _ -> ()) pieces)
-                attrs;
-              List.iter (function Ast.C_expr e' -> walk e' | Ast.C_text _ -> ()) content
-        in
-        List.iter (fun { Ast.body; _ } -> walk body) c.query.Ast.functions;
-        walk c.query.Ast.main
+        iter_query
+          (function Ast.Path (Ast.Root, steps) -> consider steps | _ -> ())
+          c.query
 
   let compile ?(optimize = false) store query =
     let query =
@@ -428,8 +487,13 @@ module Make (S : Store_sig.S) = struct
     List.iter
       (fun { Ast.fname; params; body } -> Hashtbl.replace funcs fname (params, body))
       query.Ast.functions;
+    let flwor_plans = ref [] in
+    iter_query
+      (function Ast.Flwor f -> flwor_plans := (f, plan_flwor funcs f) :: !flwor_plans | _ -> ())
+      query;
     let c =
-      { store; query; funcs; tag_arrays = Hashtbl.create 16; optimize;
+      { store; query; funcs; flwor_plans = !flwor_plans; tag_arrays = Hashtbl.create 16;
+        optimize;
         join_tables = Hashtbl.create 8; ineq_tables = Hashtbl.create 8;
         (* the adapter build decodes columns and materializes extents;
            skip all of it when vectorized execution is switched off *)
@@ -494,7 +558,14 @@ module Make (S : Store_sig.S) = struct
     | D, D -> true
     | N x, N y -> x == y || compare x y = 0
     | C x, C y -> x == y
-    | A x, A y -> x == y || x = y
+    | A x, A y ->
+        x == y
+        || x.aowner_order = y.aowner_order
+           && String.equal x.aname y.aname
+           && (match (x.aowner, y.aowner) with
+              | None, None -> true
+              | Some a, Some b -> a == b
+              | _ -> false)
     | _ -> false
 
   (* Document order is kept as step results are built, not restored after
@@ -503,11 +574,11 @@ module Make (S : Store_sig.S) = struct
      allocation first checks that the keys (stored nodes by [S.order],
      attributes by their owner's order) strictly increase; then no two
      items are equal under [item_equal] and the input is the answer.
-     Otherwise stored nodes are sorted on extracted int keys, and other
-     sequences of stored nodes and attributes drop later duplicates by
-     hash, keeping first occurrences in sequence order.  Sequences holding
-     constructed nodes keep sequence order (cross-tree document order is
-     undefined) and drop duplicates by [item_equal]. *)
+     Otherwise stored nodes and their attributes are sorted on extracted
+     int keys, an attribute right after its owner and before the owner's
+     children, and equal items dropped.  Sequences holding constructed
+     nodes or their attributes keep sequence order (cross-tree document
+     order is undefined) and drop duplicates by [item_equal]. *)
   let doc_order_dedup c items =
     let store = c.store in
     let rec ordered prev = function
@@ -519,24 +590,28 @@ module Make (S : Store_sig.S) = struct
       | (D | C _ | Num _ | Str _ | Bool _) :: _ -> false
     in
     if ordered min_int items then items
-    else if List.for_all (function N _ -> true | _ -> false) items then begin
-      let keyed = Array.of_list (List.map (fun it -> (node_order c it, it)) items) in
+    else if
+      List.for_all (function N _ -> true | A a -> Option.is_none a.aowner | _ -> false) items
+    then begin
+      let key = function
+        | N n -> 2 * S.order store n
+        | A a -> (2 * a.aowner_order) + 1
+        | D | C _ | Num _ | Str _ | Bool _ -> assert false
+      in
+      let keyed = Array.of_list (List.map (fun it -> (key it, it)) items) in
       Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) keyed;
-      (* keys are unique per node, so equal neighbours are one node *)
+      (* equal keys hold one stored node, or the attributes of one owner:
+         keep the first of each *)
+      let rec seen i j =
+        j >= 0
+        && fst keyed.(j) = fst keyed.(i)
+        && (item_equal (snd keyed.(j)) (snd keyed.(i)) || seen i (j - 1))
+      in
       let out = ref [] in
       for i = Array.length keyed - 1 downto 0 do
-        let k, it = keyed.(i) in
-        if i = 0 || fst keyed.(i - 1) <> k then out := it :: !out
+        if not (seen i (i - 1)) then out := snd keyed.(i) :: !out
       done;
       !out
-    end
-    else if List.for_all (function N _ | A _ -> true | _ -> false) items then begin
-      let nodes = Hashtbl.create 16 and attrs = Hashtbl.create 16 in
-      (* an attribute record as key is [item_equal]'s structural equality *)
-      let first tbl k = (not (Hashtbl.mem tbl k)) && (Hashtbl.replace tbl k (); true) in
-      List.filter
-        (function N n -> first nodes (S.order store n) | A a -> first attrs a | _ -> true)
-        items
     end
     else
       let seen = ref [] in
@@ -583,17 +658,26 @@ module Make (S : Store_sig.S) = struct
 
   (* --- string helpers: compare in place, never copy a candidate ---------- *)
 
-  (* whether [x] occurs in [s] at byte offset [i] *)
+  (* whether [x] occurs in [s] at byte offset [i]; allocates nothing *)
   let occurs_at s i x =
     let lx = String.length x in
-    let rec from k = k >= lx || (s.[i + k] = x.[k] && from (k + 1)) in
-    i >= 0 && i + lx <= String.length s && from 0
+    i >= 0
+    && i + lx <= String.length s
+    &&
+    let k = ref 0 in
+    while !k < lx && String.unsafe_get s (i + !k) = String.unsafe_get x !k do
+      incr k
+    done;
+    !k = lx
 
   (* offset of the first occurrence of [x] in [s], or -1 *)
   let find_substring s x =
     let last = String.length s - String.length x in
-    let rec at i = if i > last then -1 else if occurs_at s i x then i else at (i + 1) in
-    at 0
+    let i = ref 0 in
+    while !i <= last && not (occurs_at s !i x) do
+      incr i
+    done;
+    if !i <= last then !i else -1
 
   (* whether [s] holds [needle] (lowercase) as a token: a maximal
      alphanumeric run, compared lowercase *)
@@ -771,14 +855,12 @@ module Make (S : Store_sig.S) = struct
     | C _ | A _ | Num _ | Str _ | Bool _ -> None
 
   let attribute_items ctx it =
-    let order = match it with N _ | C _ -> node_order ctx.c it | _ -> 0 in
+    let attr aowner_order aowner (aname, avalue) = A { aowner_order; aowner; aname; avalue } in
     match it with
     | D -> []
-    | N n ->
-        List.map (fun (k, v) -> A { aowner_order = order; aname = k; avalue = v })
-          (S.attributes ctx.c.store n)
+    | N n -> List.map (attr (S.order ctx.c.store n) None) (S.attributes ctx.c.store n)
     | C d ->
-        List.map (fun (k, v) -> A { aowner_order = order; aname = k; avalue = v })
+        List.map (attr (Dom.order_exn d) (Some d))
           (match d.Dom.desc with Dom.Element e -> e.Dom.attrs | Dom.Text _ -> [])
     | A _ | Num _ | Str _ | Bool _ -> err "attribute step on a non-element item"
 
@@ -838,8 +920,12 @@ module Make (S : Store_sig.S) = struct
         Some (s, rest)
     | _ -> None
 
+  let plan_of c f =
+    match List.assq_opt f c.flwor_plans with Some p -> p | None -> plan_flwor c.funcs f
+
   let rec eval ctx (e : Ast.expr) : value =
     match e with
+    | _ when ctx.memo != [] && List.mem_assq e ctx.memo -> Lazy.force (List.assq e ctx.memo)
     | Ast.Number f -> [ Num f ]
     | Ast.Literal s -> [ Str s ]
     | Ast.Var v -> lookup_var ctx v
@@ -973,7 +1059,9 @@ module Make (S : Store_sig.S) = struct
                 (* one lookup instead of a record per attribute *)
                 let a = Symbol.to_string a in
                 match S.attribute ctx.c.store n a with
-                | Some v -> [ A { aowner_order = S.order ctx.c.store n; aname = a; avalue = v } ]
+                | Some v ->
+                    let aowner_order = S.order ctx.c.store n in
+                    [ A { aowner_order; aowner = None; aname = a; avalue = v } ]
                 | None -> [])
             | Ast.Name a, _ ->
                 let a = Symbol.to_string a in
@@ -1059,107 +1147,12 @@ module Make (S : Store_sig.S) = struct
         in
         [ Num r ]
 
-  (* Variables an expression references (a conservative dependence test). *)
-  and expr_vars acc (e : Ast.expr) =
-    match e with
-    | Ast.Var v -> v :: acc
-    | Ast.Number _ | Ast.Literal _ | Ast.Root | Ast.Context -> acc
-    | Ast.Sequence es -> List.fold_left expr_vars acc es
-    | Ast.Path (o, steps) ->
-        List.fold_left
-          (fun acc { Ast.preds; _ } -> List.fold_left expr_vars acc preds)
-          (expr_vars acc o) steps
-    | Ast.Filter (e', preds) -> List.fold_left expr_vars (expr_vars acc e') preds
-    | Ast.Flwor fl ->
-        let acc =
-          List.fold_left
-            (fun acc -> function Ast.For (_, e') | Ast.Let (_, e') -> expr_vars acc e')
-            acc fl.Ast.clauses
-        in
-        let acc = Option.fold ~none:acc ~some:(expr_vars acc) fl.Ast.where in
-        let acc = List.fold_left (fun acc { Ast.key; _ } -> expr_vars acc key) acc fl.Ast.order in
-        expr_vars acc fl.Ast.ret
-    | Ast.Quantified (_, binds, sat) ->
-        expr_vars (List.fold_left (fun acc (_, e') -> expr_vars acc e') acc binds) sat
-    | Ast.If (a, b, c) -> expr_vars (expr_vars (expr_vars acc a) b) c
-    | Ast.Or (a, b) | Ast.And (a, b) | Ast.Compare (_, a, b) | Ast.Arith (_, a, b)
-    | Ast.Node_before (a, b) | Ast.Node_after (a, b) ->
-        expr_vars (expr_vars acc a) b
-    | Ast.Neg a -> expr_vars acc a
-    | Ast.Call (_, args) -> List.fold_left expr_vars acc args
-    | Ast.Elem_ctor (_, attrs, content) ->
-        let acc =
-          List.fold_left
-            (fun acc (_, pieces) ->
-              List.fold_left
-                (fun acc -> function Ast.A_expr e' -> expr_vars acc e' | Ast.A_text _ -> acc)
-                acc pieces)
-            acc attrs
-        in
-        List.fold_left
-          (fun acc -> function Ast.C_expr e' -> expr_vars acc e' | Ast.C_text _ -> acc)
-          acc content
-
-  and uses_var v e = List.mem v (expr_vars [] e)
-
-  and uses_any_var e = expr_vars [] e <> []
-
-  (* Whether an expression reads the focus it is evaluated under: the
-     context item, position() or last().  Predicate bodies set a focus of
-     their own, so they are not searched. *)
-  and uses_focus (e : Ast.expr) =
-    match e with
-    | Ast.Context | Ast.Call (("string" | "name" | "position" | "last"), []) -> true
-    | Ast.Number _ | Ast.Literal _ | Ast.Root | Ast.Var _ -> false
-    | Ast.Sequence es | Ast.Call (_, es) -> List.exists uses_focus es
-    | Ast.Path (o, _) | Ast.Filter (o, _) | Ast.Neg o -> uses_focus o
-    | Ast.Flwor fl ->
-        List.exists (function Ast.For (_, e') | Ast.Let (_, e') -> uses_focus e') fl.Ast.clauses
-        || Option.fold ~none:false ~some:uses_focus fl.Ast.where
-        || List.exists (fun { Ast.key; _ } -> uses_focus key) fl.Ast.order
-        || uses_focus fl.Ast.ret
-    | Ast.Quantified (_, binds, sat) ->
-        List.exists (fun (_, e') -> uses_focus e') binds || uses_focus sat
-    | Ast.If (a, b, c) -> uses_focus a || uses_focus b || uses_focus c
-    | Ast.Or (a, b) | Ast.And (a, b) | Ast.Compare (_, a, b) | Ast.Arith (_, a, b)
-    | Ast.Node_before (a, b) | Ast.Node_after (a, b) ->
-        uses_focus a || uses_focus b
-    | Ast.Elem_ctor (_, attrs, content) ->
-        List.exists
-          (fun (_, pieces) ->
-            List.exists (function Ast.A_expr e' -> uses_focus e' | Ast.A_text _ -> false) pieces)
-          attrs
-        || List.exists (function Ast.C_expr e' -> uses_focus e' | Ast.C_text _ -> false) content
-
-  (* A join side cached across evaluations of its FLWOR: SRC must read
-     no variable and KEY none but $v, and neither may read the focus (a
-     relative SRC such as [watches/watch] differs per context item). *)
-  and cacheable_source src = not (uses_any_var src || uses_focus src)
-
-  and cacheable_key v key =
-    List.for_all (String.equal v) (expr_vars [] key) && not (uses_focus key)
-
   (* Hash-join rewrite:  for $v in SRC where KEY($v) = PROBE(outer) ...
      with a cacheable SRC and KEY becomes a build-once / probe-per-tuple hash
      join on every backend — in the paper every system ran the id-chasing
      equi-joins Q8/Q9 with a join algorithm.  Valid only when every key
      atomizes to an untyped string (general '=' on two untyped values is
      string equality); anything else falls back to the nested loop. *)
-  and join_pattern f =
-    match f.Ast.clauses with
-    | [ Ast.For (v, src) ] when cacheable_source src -> (
-        match f.Ast.where with
-        | Some (Ast.Compare (Ast.Eq, lhs, rhs)) ->
-            (* the build key is cached across probes; the probe side must
-               not depend on $v at all *)
-            if uses_var v lhs && cacheable_key v lhs && not (uses_var v rhs) then
-              Some (v, src, lhs, rhs)
-            else if uses_var v rhs && cacheable_key v rhs && not (uses_var v lhs) then
-              Some (v, src, rhs, lhs)
-            else None
-        | _ -> None)
-    | _ -> None
-
   and build_join_table ctx v src key =
     let side = { source = src; key } in
     match Hashtbl.find_opt ctx.c.join_tables side with
@@ -1187,8 +1180,8 @@ module Make (S : Store_sig.S) = struct
 
   (* Tuple stream for an optimizable FLWOR; None = fall back to the
      nested-loop pipeline. *)
-  and try_hash_join ctx f =
-    match join_pattern f with
+  and try_hash_join ctx plan =
+    match plan.join with
     | None -> None
     | Some (v, src, key, probe) -> (
         match build_join_table ctx v src key with
@@ -1226,41 +1219,6 @@ module Make (S : Store_sig.S) = struct
      between a $v-only side and an outer side: answered with binary search
      over pre-sorted key arrays instead of a nested loop — the plan shape
      behind the paper's System D numbers for Q11/Q12. *)
-  (* Statically numeric: every item the expression yields is a number, so
-     the general comparison is guaranteed to be numeric (untyped-vs-untyped
-     would be a string comparison, which the fusion must not change). *)
-  and always_numeric (e : Ast.expr) =
-    match e with
-    | Ast.Number _ -> true
-    | Ast.Arith _ | Ast.Neg _ -> true
-    | Ast.Call (("count" | "sum" | "avg" | "number" | "round" | "floor" | "ceiling" | "abs"
-                | "string-length" | "last" | "position"), _) ->
-        true
-    | Ast.If (_, t, e') -> always_numeric t && always_numeric e'
-    | Ast.Sequence es -> es <> [] && List.for_all always_numeric es
-    | _ -> false
-
-  and ineq_pattern f =
-    match f.Ast.clauses with
-    | [ Ast.For (v, src) ] when cacheable_source src -> (
-        match (f.Ast.where, f.Ast.order, f.Ast.ret) with
-        | Some (Ast.Compare (op, lhs, rhs)), [], Ast.Var rv
-          when String.equal rv v
-               && (op = Ast.Gt || op = Ast.Lt || op = Ast.Ge || op = Ast.Le)
-               && (always_numeric lhs || always_numeric rhs) ->
-            if uses_var v lhs && cacheable_key v lhs && not (uses_var v rhs) then
-              (* KEY($v) op PROBE  — flip to PROBE op' KEY *)
-              let flip = function
-                | Ast.Gt -> Ast.Lt | Ast.Lt -> Ast.Gt | Ast.Ge -> Ast.Le | Ast.Le -> Ast.Ge
-                | o -> o
-              in
-              Some (v, src, lhs, flip op, rhs)
-            else if uses_var v rhs && cacheable_key v rhs && not (uses_var v lhs) then
-              Some (v, src, rhs, op, lhs)
-            else None
-        | _ -> None)
-    | _ -> None
-
   and build_ineq_table ctx v src key =
     let side = { source = src; key } in
     match Hashtbl.find_opt ctx.c.ineq_tables side with
@@ -1311,7 +1269,7 @@ module Make (S : Store_sig.S) = struct
   and try_inequality_count ctx e =
     match e with
     | Ast.Flwor f -> (
-        match ineq_pattern f with
+        match (plan_of ctx.c f).ineq with
         | None -> None
         | Some (v, src, key, op, probe) -> (
             match build_ineq_table ctx v src key with
@@ -1341,26 +1299,35 @@ module Make (S : Store_sig.S) = struct
     | _ -> None
 
   and eval_flwor ctx f =
+    let plan = plan_of ctx.c f in
     let tuples =
-      match try_hash_join ctx f with
+      match try_hash_join ctx plan with
       | Some tuples -> tuples
       | None ->
-          let bind_clause ctxs = function
-            | Ast.For (v, e) ->
-                List.concat_map
-                  (fun ctx' ->
-                    Cancel.poll ();
-                    List.map
-                      (fun it -> { ctx' with vars = (v, [ it ]) :: ctx'.vars })
-                      (eval ctx' e))
-                  ctxs
-            | Ast.Let (v, e) ->
-                List.map (fun ctx' -> { ctx' with vars = (v, eval ctx' e) :: ctx'.vars }) ctxs
+          let ctx =
+            List.fold_left
+              (fun ctx' e ->
+                if List.mem_assq e ctx'.memo then ctx'
+                else { ctx' with memo = (e, lazy (eval ctx e)) :: ctx'.memo })
+              ctx plan.invariants
           in
-          let tuples = List.fold_left bind_clause [ ctx ] f.Ast.clauses in
-          (match f.Ast.where with
-          | None -> tuples
-          | Some w -> List.filter (fun ctx' -> ebv (eval ctx' w)) tuples)
+          let bind ctxs st =
+            let ctxs =
+              match st.clause with
+              | Ast.For (v, e) ->
+                  List.concat_map
+                    (fun ctx' ->
+                      Cancel.poll ();
+                      List.map
+                        (fun it -> { ctx' with vars = (v, [ it ]) :: ctx'.vars })
+                        (for_source ctx' st e))
+                    ctxs
+              | Ast.Let (v, e) ->
+                  List.map (fun ctx' -> { ctx' with vars = (v, eval ctx' e) :: ctx'.vars }) ctxs
+            in
+            passes st.tests ctxs
+          in
+          List.fold_left bind (passes plan.pre [ ctx ]) plan.steps
     in
     let tuples =
       if f.Ast.order = [] then tuples
@@ -1406,6 +1373,22 @@ module Make (S : Store_sig.S) = struct
     in
     if Stats.enabled () then Stats.incr ~by:(List.length tuples) "tuples_emitted";
     List.concat_map (fun ctx' -> eval ctx' f.Ast.ret) tuples
+
+  and for_source ctx st e =
+    if not st.shared then eval ctx e
+    else
+      match st.source with
+      | Some v -> v
+      | None ->
+          let v = eval ctx e in
+          st.source <- Some v;
+          v
+
+  (* the tuples on which every test holds *)
+  and passes tests ctxs =
+    match tests with
+    | [] -> ctxs
+    | _ -> List.filter (fun ctx' -> List.for_all (fun w -> ebv (eval ctx' w)) tests) ctxs
 
   and eval_quantified ctx q binds sat =
     let rec go ctx' = function
@@ -1515,11 +1498,12 @@ module Make (S : Store_sig.S) = struct
         [ Str (String.concat sep parts) ]
     | "substring-before", [ a; b ] ->
         let s = string_arg ctx a and sep = string_arg ctx b in
-        let i = if sep = "" then -1 else find_substring s sep in
+        let i = find_substring s sep in
         [ Str (if i < 0 then "" else String.sub s 0 i) ]
     | "substring-after", [ a; b ] ->
+        (* an empty separator occurs at 0: the whole string *)
         let s = string_arg ctx a and sep = string_arg ctx b in
-        let i = if sep = "" then -1 else find_substring s sep in
+        let i = find_substring s sep in
         let from = i + String.length sep in
         [ Str (if i < 0 then "" else String.sub s from (String.length s - from)) ]
     | "reverse", [ e ] -> List.rev (eval ctx e)
@@ -1559,7 +1543,7 @@ module Make (S : Store_sig.S) = struct
             [ Num (List.fold_left ( +. ) 0.0 nums /. float_of_int (List.length nums)) ])
     | "min", [ e ] -> fold_minmax ctx e `Min
     | "max", [ e ] -> fold_minmax ctx e `Max
-    | "round", [ e ] -> [ Num (Float.round (number_arg ctx e)) ]
+    | "round", [ e ] -> [ Num (xpath_round (number_arg ctx e)) ]
     | "floor", [ e ] -> [ Num (Float.floor (number_arg ctx e)) ]
     | "ceiling", [ e ] -> [ Num (Float.ceil (number_arg ctx e)) ]
     | "abs", [ e ] -> [ Num (Float.abs (number_arg ctx e)) ]
@@ -1642,7 +1626,7 @@ module Make (S : Store_sig.S) = struct
             if List.length params <> List.length args then
               err "function %s expects %d arguments" f (List.length params);
             let bindings = List.map2 (fun p a -> (p, eval ctx a)) params args in
-            eval { ctx with vars = bindings @ ctx.vars } body
+            eval { ctx with vars = bindings @ ctx.vars; memo = [] } body
         | None -> err "unknown function %s/%d" f (List.length args))
 
   and string_arg ctx e =
@@ -1678,28 +1662,25 @@ module Make (S : Store_sig.S) = struct
   (* --- entry points ------------------------------------------------------ *)
 
   let run c =
-    let ctx = { c; vars = []; citem = None; cpos = 0; csize = 0 } in
-    eval ctx c.query.Ast.main
+    List.iter (fun (_, p) -> List.iter (fun st -> st.source <- None) p.steps) c.flwor_plans;
+    eval { c; vars = []; citem = None; cpos = 0; csize = 0; memo = [] } c.query.Ast.main
 
   let eval_string ?optimize store src =
     run (compile ?optimize store (Parser.parse_query src))
 
-  let string_of_item store it =
+  (* a context for item utilities outside any query *)
+  let bare_ctx store =
     let c =
       { store; query = { Ast.functions = []; main = Ast.Root }; funcs = Hashtbl.create 1;
-        tag_arrays = Hashtbl.create 1; optimize = false; join_tables = Hashtbl.create 1;
-        ineq_tables = Hashtbl.create 1; vec = None; vec_plans = Hashtbl.create 1 }
+        flwor_plans = []; tag_arrays = Hashtbl.create 1; optimize = false;
+        join_tables = Hashtbl.create 1; ineq_tables = Hashtbl.create 1; vec = None;
+        vec_plans = Hashtbl.create 1 }
     in
-    string_value_of { c; vars = []; citem = None; cpos = 0; csize = 0 } it
+    { c; vars = []; citem = None; cpos = 0; csize = 0; memo = [] }
 
-  let result_to_dom store v =
-    let c =
-      { store; query = { Ast.functions = []; main = Ast.Root }; funcs = Hashtbl.create 1;
-        tag_arrays = Hashtbl.create 1; optimize = false; join_tables = Hashtbl.create 1;
-        ineq_tables = Hashtbl.create 1; vec = None; vec_plans = Hashtbl.create 1 }
-    in
-    let ctx = { c; vars = []; citem = None; cpos = 0; csize = 0 } in
-    List.map (item_to_dom ctx) v
+  let string_of_item store it = string_value_of (bare_ctx store) it
+
+  let result_to_dom store v = List.map (item_to_dom (bare_ctx store)) v
 
   let result_size v = List.length v
 end

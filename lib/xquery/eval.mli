@@ -14,7 +14,13 @@
     performance differences, not result differences. *)
 
 module Make (S : Store_sig.S) : sig
-  type attr = { aowner_order : int; aname : string; avalue : string }
+  type attr = {
+    aowner_order : int;
+    aowner : Xmark_xml.Dom.node option;
+        (** the constructed element carrying it; [None] when stored *)
+    aname : string;
+    avalue : string;
+  }
 
   type item =
     | D  (** the document node above the document element *)
@@ -47,6 +53,16 @@ module Make (S : Store_sig.S) : sig
       when every join key atomizes to an untyped string, where the
       general [=] means string equality.  A [where] clause of any other
       shape (for example [boolean(KEY = PROBE)]) keeps the nested loop.
+
+      Every other FLWOR runs as a nested loop that recomputes nothing
+      invariant: a for source that reads no variable is evaluated once
+      per {!run}; each [and] conjunct of where is tested right after the
+      clause binding the last variable it reads; and a subexpression of
+      where, order by or return that reads none of the FLWOR's variables
+      is evaluated at most once per evaluation of the FLWOR, on first
+      use.  None of this touches an expression that reads the focus,
+      constructs a node or calls a user function (whose body reads its
+      caller's variables).
 
       With [optimize] (default false), the theta joins get System D's
       hand-optimized plan ("For Systems D through F we had to experiment

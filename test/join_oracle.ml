@@ -8,50 +8,60 @@
 
 module Ast = Xmark_xquery.Ast
 
-let rec expr (e : Ast.expr) : Ast.expr =
-  match e with
-  | Ast.Number _ | Ast.Literal _ | Ast.Var _ | Ast.Root | Ast.Context -> e
-  | Ast.Sequence es -> Ast.Sequence (List.map expr es)
-  | Ast.Path (o, steps) ->
-      Ast.Path (expr o, List.map (fun s -> { s with Ast.preds = List.map expr s.Ast.preds }) steps)
-  | Ast.Filter (e', preds) -> Ast.Filter (expr e', List.map expr preds)
-  | Ast.Flwor f ->
-      Ast.Flwor
-        {
-          Ast.clauses =
+(* [f] applied to every expression of [e], children first *)
+let rec map f (e : Ast.expr) : Ast.expr =
+  let m = map f in
+  f
+    (match e with
+    | Ast.Number _ | Ast.Literal _ | Ast.Var _ | Ast.Root | Ast.Context -> e
+    | Ast.Sequence es -> Ast.Sequence (List.map m es)
+    | Ast.Path (o, steps) ->
+        Ast.Path (m o, List.map (fun s -> { s with Ast.preds = List.map m s.Ast.preds }) steps)
+    | Ast.Filter (e', preds) -> Ast.Filter (m e', List.map m preds)
+    | Ast.Flwor f ->
+        Ast.Flwor
+          {
+            Ast.clauses =
+              List.map
+                (function
+                  | Ast.For (v, e') -> Ast.For (v, m e') | Ast.Let (v, e') -> Ast.Let (v, m e'))
+                f.Ast.clauses;
+            where = Option.map m f.Ast.where;
+            order = List.map (fun o -> { o with Ast.key = m o.Ast.key }) f.Ast.order;
+            ret = m f.Ast.ret;
+          }
+    | Ast.Quantified (q, binds, sat) ->
+        Ast.Quantified (q, List.map (fun (v, e') -> (v, m e')) binds, m sat)
+    | Ast.If (a, b, c) -> Ast.If (m a, m b, m c)
+    | Ast.Or (a, b) -> Ast.Or (m a, m b)
+    | Ast.And (a, b) -> Ast.And (m a, m b)
+    | Ast.Compare (op, a, b) -> Ast.Compare (op, m a, m b)
+    | Ast.Arith (op, a, b) -> Ast.Arith (op, m a, m b)
+    | Ast.Node_before (a, b) -> Ast.Node_before (m a, m b)
+    | Ast.Node_after (a, b) -> Ast.Node_after (m a, m b)
+    | Ast.Neg a -> Ast.Neg (m a)
+    | Ast.Call (fn, args) -> Ast.Call (fn, List.map m args)
+    | Ast.Elem_ctor (name, attrs, content) ->
+        Ast.Elem_ctor
+          ( name,
             List.map
-              (function
-                | Ast.For (v, e') -> Ast.For (v, expr e')
-                | Ast.Let (v, e') -> Ast.Let (v, expr e'))
-              f.Ast.clauses;
-          where = Option.map (fun w -> Ast.Call ("boolean", [ expr w ])) f.Ast.where;
-          order = List.map (fun o -> { o with Ast.key = expr o.Ast.key }) f.Ast.order;
-          ret = expr f.Ast.ret;
-        }
-  | Ast.Quantified (q, binds, sat) ->
-      Ast.Quantified (q, List.map (fun (v, e') -> (v, expr e')) binds, expr sat)
-  | Ast.If (a, b, c) -> Ast.If (expr a, expr b, expr c)
-  | Ast.Or (a, b) -> Ast.Or (expr a, expr b)
-  | Ast.And (a, b) -> Ast.And (expr a, expr b)
-  | Ast.Compare (op, a, b) -> Ast.Compare (op, expr a, expr b)
-  | Ast.Arith (op, a, b) -> Ast.Arith (op, expr a, expr b)
-  | Ast.Node_before (a, b) -> Ast.Node_before (expr a, expr b)
-  | Ast.Node_after (a, b) -> Ast.Node_after (expr a, expr b)
-  | Ast.Neg a -> Ast.Neg (expr a)
-  | Ast.Call (f, args) -> Ast.Call (f, List.map expr args)
-  | Ast.Elem_ctor (name, attrs, content) ->
-      Ast.Elem_ctor
-        ( name,
-          List.map
-            (fun (a, pieces) ->
-              (a, List.map (function Ast.A_expr e' -> Ast.A_expr (expr e') | p -> p) pieces))
-            attrs,
-          List.map (function Ast.C_expr e' -> Ast.C_expr (expr e') | c -> c) content )
+              (fun (a, pieces) ->
+                (a, List.map (function Ast.A_expr e' -> Ast.A_expr (m e') | p -> p) pieces))
+              attrs,
+            List.map (function Ast.C_expr e' -> Ast.C_expr (m e') | c -> c) content ))
 
-(* the oracle of a query given as text *)
-let parse src =
+(* a query given as text, with [f] applied to every expression *)
+let rewrite f src =
   let q = Xmark_xquery.Parser.parse_query src in
   {
-    Ast.functions = List.map (fun f -> { f with Ast.body = expr f.Ast.body }) q.Ast.functions;
-    main = expr q.Ast.main;
+    Ast.functions = List.map (fun fn -> { fn with Ast.body = map f fn.Ast.body }) q.Ast.functions;
+    main = map f q.Ast.main;
   }
+
+(* the oracle of a query given as text *)
+let parse =
+  rewrite (function
+    | Ast.Flwor f ->
+        let boolean w = Ast.Call ("boolean", [ w ]) in
+        Ast.Flwor { f with Ast.where = Option.map boolean f.Ast.where }
+    | e -> e)

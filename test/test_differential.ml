@@ -188,6 +188,19 @@ let gen_focus_join_query =
       (Printf.sprintf "for $o in %s[count(for $x in %s where %s return $x) > 0] return $o" ctx
          rel cond))
 
+(* canonical answers of a parsed query on the three stores *)
+let canon_ast_m ast =
+  let m = Lazy.force store_m in
+  Canonical.of_nodes (EvM.result_to_dom m (EvM.run (EvM.compile m ast)))
+
+let canon_ast_a ast =
+  let a = Lazy.force store_a in
+  Canonical.of_nodes (EvA.result_to_dom a (EvA.run (EvA.compile a ast)))
+
+let canon_ast_b ast =
+  let b = Lazy.force store_b in
+  Canonical.of_nodes (EvB.result_to_dom b (EvB.run (EvB.compile b ast)))
+
 (* Every backend runs equi-joins as hash joins; the oracle is the same
    query with its [where] wrapped in [boolean(...)], a nested loop. *)
 let hash_join_matches_loop q =
@@ -196,13 +209,9 @@ let hash_join_matches_loop q =
     String.equal hashed looped
     || QCheck.Test.fail_reportf "%s: hash join differs from nested loop on %s" which q
   in
-  let m = Lazy.force store_m and a = Lazy.force store_a and b = Lazy.force store_b in
-  let canon_m ast = Canonical.of_nodes (EvM.result_to_dom m (EvM.run (EvM.compile m ast))) in
-  let canon_a ast = Canonical.of_nodes (EvA.result_to_dom a (EvA.run (EvA.compile a ast))) in
-  let canon_b ast = Canonical.of_nodes (EvB.result_to_dom b (EvB.run (EvB.compile b ast))) in
-  agree "mainmem" (canon_m ast) (canon_m loop)
-  && agree "heap" (canon_a ast) (canon_a loop)
-  && agree "shredded" (canon_b ast) (canon_b loop)
+  agree "mainmem" (canon_ast_m ast) (canon_ast_m loop)
+  && agree "heap" (canon_ast_a ast) (canon_ast_a loop)
+  && agree "shredded" (canon_ast_b ast) (canon_ast_b loop)
 
 let prop_optimizer_equijoins =
   QCheck.Test.make ~name:"optimizer preserves random equi-join queries" ~count:80
@@ -219,11 +228,75 @@ let prop_optimizer_ineq =
     (QCheck.make ~print:Fun.id gen_ineq_query)
     (fun q -> String.equal (canon_opt ~optimize:false q) (canon_opt ~optimize:true q))
 
+(* --- loop-invariant evaluation: random nested loops ----------------------- *)
+
+(* Two nested for clauses, an optional let and order by, a where of one
+   to three conjuncts, and a return: each part mixes subexpressions that
+   read the loop variables with ones that read none of them. *)
+let gen_hoist_query =
+  QCheck.Gen.(
+    let* outer =
+      oneofl
+        [ "/site/people/person[position() < 12]";
+          "/site/open_auctions/open_auction[position() < 12]" ]
+    in
+    let* inner =
+      oneofl
+        [ "/site/open_auctions/open_auction/initial"; "/site/closed_auctions/closed_auction";
+          "$a/*"; "/site/nothing" ]
+    in
+    let* with_let = bool in
+    let conds =
+      [ {|$a/@id != "none"|};
+        "count($a/*) > count(/site/people/person) div 25";
+        "exists($a/name) or count(/site/regions//item) > 1000";
+        "count(/site/people/person) > 10";
+        "not(empty(/site/regions//item[@featured]))";
+        "count($c/*) >= count(/site/people/person[1]/*) - 3";
+        "string($c) != string(/site/people/person[2]/name)";
+        "($c/text(), 0)[1] > sum(/site/open_auctions/open_auction[1]/initial) div 2" ]
+      @ if with_let then [ "count($b) > count(/site/nothing) + 1" ] else []
+    in
+    let* where = list_size (int_range 1 3) (oneofl conds) in
+    let* ret =
+      oneofl
+        [ {|<r id="{$a/@id}">{count(/site/people/person)}</r>|};
+          "($c/@*, /site/people/person[1]/name/text())";
+          "<p>{count(for $x in /site/closed_auctions/closed_auction where "
+          ^ "$x/seller/@person = $a/@id or count(/site/regions//item) < 5 return $x)}</p>";
+          "<q>{name($c)}{count(/site/closed_auctions/closed_auction[price > 40])}</q>" ]
+    in
+    let* order = oneofl [ ""; "order by $a/@id descending, count(/site/people/person) " ] in
+    return
+      (Printf.sprintf "for $a in %s %sfor $c in %s where %s %sreturn %s" outer
+         (if with_let then "let $b := $a/* " else "")
+         inner (String.concat " and " where) order ret))
+
+(* An answer, or the error it raised. *)
+let outcome canon ast = match canon ast with s -> Ok s | exception e -> Error (Printexc.to_string e)
+
+let hoisting_matches_oracle q =
+  let ast = Xmark_xquery.Parser.parse_query q and loop = Hoist_oracle.parse q in
+  let agree which hoisted looped =
+    hoisted = looped
+    || QCheck.Test.fail_reportf "%s: loop-invariant evaluation differs from the plain loop on %s"
+         which q
+  in
+  agree "mainmem" (outcome canon_ast_m ast) (outcome canon_ast_m loop)
+  && agree "heap" (outcome canon_ast_a ast) (outcome canon_ast_a loop)
+  && agree "shredded" (outcome canon_ast_b ast) (outcome canon_ast_b loop)
+
+let prop_hoisting =
+  QCheck.Test.make ~name:"loop-invariant evaluation preserves random nested loops" ~count:25
+    (QCheck.make ~print:Fun.id gen_hoist_query)
+    hoisting_matches_oracle
+
 let () =
   Alcotest.run "differential"
     [
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_backends_agree; prop_count_nonnegative; prop_idempotent_canonicalization;
-            prop_optimizer_equijoins; prop_focus_dependent_joins; prop_optimizer_ineq ] );
+            prop_optimizer_equijoins; prop_focus_dependent_joins; prop_optimizer_ineq;
+            prop_hoisting ] );
     ]

@@ -348,15 +348,134 @@ let order_cases =
     ("repeated attribute owners", "(/site/people/person, /site/people/person)/@*", attrs);
     ("named attribute, repeated owners", "(/site/people/person, /site/people/person)/@income",
       "10\n20");
+    ("reversed attribute owners", "reverse(/site/people/person)/@income", "10\n20");
+    ("attributes of two constructed owners", {|count((<a x="1"/>, <b x="1"/>)/@x)|}, "2");
+    ("attributes of one constructed owner, repeated",
+      {|let $e := <a x="1" y="2"/> return count(($e, $e)/@*)|}, "2");
   ]
 
-let test_order_on system () =
+(* Examples from XQuery 1.0 and XPath 2.0 Functions and Operators:
+   fn:substring-before/-after (7.5.4, 7.5.5: an empty $arg2 yields "" and
+   $arg1) and fn:round (6.4.4: halves round toward positive infinity). *)
+let spec_cases =
+  [
+    ("substring-after, empty separator", {|substring-after("abc", "")|}, "abc");
+    ("substring-before, empty separator", {|substring-before("abc", "")|}, "");
+    ("substring-after", {|substring-after("tattoo", "tat")|}, "too");
+    ("substring-before", {|substring-before("tattoo", "attoo")|}, "t");
+    ("round up", "round(2.5)", "3");
+    ("round down", "round(2.4999)", "2");
+    ("round a negative half", "round(-2.5)", "-2");
+  ]
+
+let test_cases_on cases system () =
   let session = Xmark_core.Runner.load ~source:(`Text order_src) system in
   List.iter
     (fun (name, q, expected) ->
       Alcotest.(check string) (name ^ ": " ^ q) expected
         (Xmark_core.Runner.canonical (Xmark_core.Runner.run_text_session session q)))
-    order_cases
+    cases
+
+let eval_systems = Xmark_core.Runner.[ A; B; D; E; F; G ]
+
+(* --- loop invariants: evaluated once, never where they change an answer --- *)
+
+(* the count a counter reaches while [f] runs *)
+let counted name f =
+  Stats.reset ();
+  Stats.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Stats.reset ();
+      Stats.disable ())
+    (fun () ->
+      f ();
+      Stats.total name)
+
+let function_calls q = counted "function_calls" (fun () -> ignore (run q))
+
+let test_invariants_once () =
+  (* three outer counts, and the inner count once per inner loop (it reads
+     $p), not once per (person, item) pair *)
+  Alcotest.(check int) "invariant of the inner loop" 6
+    (function_calls
+       "for $p in /site/people/person return count(for $i in /site/items/item where \
+        count($p/../person) > $i/@price return $i)");
+  (* reading no variable of either loop, it runs once in all *)
+  Alcotest.(check int) "invariant of both loops" 4
+    (function_calls
+       "for $p in /site/people/person return count(for $i in /site/items/item where $p/age > \
+        count(/site/people/person) return $i)");
+  (* a shared for source is evaluated once per run, not once per plan *)
+  let c =
+    E.compile doc
+      (Xmark_xquery.Parser.parse_query
+         "for $p in /site/people/person return count(for $i in /site/items/item return $i)")
+  in
+  let path_steps () = counted "path_steps" (fun () -> ignore (E.run c)) in
+  let first = path_steps () in
+  Alcotest.(check int) "second run of one plan" first (path_steps ());
+  check_canon "answers" "0\n0\n2"
+    "for $p in /site/people/person return count(for $i in /site/items/item where $p/age > \
+     count(/site/people/person) * 10 return $i)"
+
+let test_invariants_lazy () =
+  (* the invariant would raise, but no loop body runs *)
+  check_canon "where of an empty loop" ""
+    "for $p in /site/people/person return \
+     for $i in /site/nothing where exactly-one(/site/people/person) return $i";
+  check_canon "return of an empty loop" "0"
+    "count(for $i in /site/nothing return exactly-one(/site/people/person))";
+  match run "for $i in /site/people/person where exactly-one(/site/people/person) return $i" with
+  | exception E.Runtime_error _ -> ()
+  | _ -> Alcotest.fail "the invariant of a running loop still raises"
+
+let test_constructors_not_hoisted () =
+  (* one fresh tree per tuple: three distinct parents, three attributes *)
+  check_canon "parents of constructed children" "3"
+    "count((for $p in /site/people/person return <a><b/></a>)/b/..)";
+  check_canon "attributes of constructed elements" "3"
+    {|count((for $p in /site/people/person return <a x="1"/>)/@x)|};
+  (* nor is the hash join's build side when it constructs *)
+  check_canon "join over a constructed source" "2"
+    {|count((for $p in (1, 2) return
+              for $v in <r><a k="1"/></r>/a where $v/@k = "1" return $v)/..)|}
+
+let test_where_before_let () =
+  (* the conjunct on $p runs before the let, so exactly-one only sees the
+     person who has a homepage *)
+  check_canon "where tested before the let" "<homepage>hp</homepage>"
+    {|for $p in /site/people/person let $h := exactly-one($p/homepage)
+      where $p/name = "Bob" return $h|};
+  (* a function body reads its caller's variables, so a conjunct calling
+     one waits for every clause *)
+  check_canon "conjunct calling a user function" "Bob/pin"
+    {|declare function local:cheap() { $i/@price < 5 };
+      for $p in /site/people/person, $i in /site/items/item
+      where $p/age < 25 and local:cheap() return concat($p/name, "/", $i/name)|};
+  check_canon "conjuncts split across clauses" "Bob/pin"
+    {|for $p in /site/people/person, $i in /site/items/item
+      where $i/@price < 5 and $p/age < 25 return concat($p/name, "/", $i/name)|}
+
+(* The benchmark's theta joins run as nested loops on A, B, E, F and G
+   and as System D's sorted-key plan on D; C runs its own plans. *)
+let test_theta_joins_agree () =
+  let src = Xmark_xmlgen.Generator.to_string ~factor:0.002 () in
+  let answer sys q =
+    Xmark_core.Runner.canonical
+      (Xmark_core.Runner.run_session (Xmark_core.Runner.load ~source:(`Text src) sys) q)
+  in
+  List.iter
+    (fun q ->
+      let d = answer Xmark_core.Runner.D q and c = answer Xmark_core.Runner.C q in
+      Alcotest.(check string) (Printf.sprintf "Q%d C = D" q) d c;
+      List.iter
+        (fun sys ->
+          Alcotest.(check string)
+            (Printf.sprintf "Q%d %s = D" q (Xmark_core.Runner.system_name sys))
+            d (answer sys q))
+        Xmark_core.Runner.[ A; B; E; F; G ])
+    [ 11; 12 ]
 
 (* --- optimizer: rewrites must preserve semantics ---------------------------- *)
 
@@ -566,8 +685,23 @@ let () =
       ( "document order",
         List.map
           (fun sys ->
-            Alcotest.test_case (Xmark_core.Runner.system_name sys) `Quick (test_order_on sys))
-          Xmark_core.Runner.[ A; B; D; E; F; G ] );
+            Alcotest.test_case (Xmark_core.Runner.system_name sys) `Quick
+              (test_cases_on order_cases sys))
+          eval_systems );
+      ( "spec examples",
+        List.map
+          (fun sys ->
+            Alcotest.test_case (Xmark_core.Runner.system_name sys) `Quick
+              (test_cases_on spec_cases sys))
+          eval_systems );
+      ( "loop invariants",
+        [
+          Alcotest.test_case "evaluated once per loop" `Quick test_invariants_once;
+          Alcotest.test_case "lazy in empty loops" `Quick test_invariants_lazy;
+          Alcotest.test_case "constructors not hoisted" `Quick test_constructors_not_hoisted;
+          Alcotest.test_case "where before let" `Quick test_where_before_let;
+          Alcotest.test_case "Q11/Q12 agree with C and D" `Quick test_theta_joins_agree;
+        ] );
       ( "accelerators",
         [ Alcotest.test_case "same results with and without" `Quick test_accelerator_equivalence ] );
       ( "optimizer",
