@@ -183,11 +183,9 @@ let table3 ?(factor = default_factor) ?(queries = table3_queries) ?(systems = Ru
       (fun q ->
         let outcomes = List.map (fun (sys, st) -> (sys, Runner.run st q)) stores in
         let agree =
-          match outcomes with
-          | [] -> true
-          | (_, first) :: _ ->
-              let canon_ref = Runner.canonical first in
-              List.for_all (fun (_, o) -> String.equal (Runner.canonical o) canon_ref) outcomes
+          Verification.first_divergence
+            (List.map (fun (sys, o) -> (sys, Runner.canonical o)) outcomes)
+          = None
         in
         pr "Q%-5d" q;
         List.iter

@@ -48,7 +48,7 @@ val table3_queries : int list
 type table3_row = {
   t3_query : int;
   t3_ms : (Runner.system * float) list;
-  t3_agree : bool;  (** canonical results identical across systems *)
+  t3_agree : bool;  (** every column's canonical result equals the reference's (D if shown) *)
 }
 
 val table3 :

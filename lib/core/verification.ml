@@ -1,67 +1,58 @@
-type divergence = {
-  left : Runner.system;
-  right : Runner.system;
-  position : int;
-  left_excerpt : string;
-  right_excerpt : string;
-}
+type divergence = { position : int; reference_excerpt : string; candidate_excerpt : string }
 
 type report = {
   query : int;
   agreed : bool;
   items : (Runner.system * int) list;
   digests : (Runner.system * string) list;
-  divergence : divergence option;
+  divergence : (Runner.system * divergence) option;
 }
-
-let first_difference a b =
-  let n = min (String.length a) (String.length b) in
-  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
-  go 0
 
 let excerpt s pos =
   let from = max 0 (pos - 20) in
   let len = min 60 (String.length s - from) in
   if len <= 0 then "<end of result>" else String.sub s from len
 
-let compare_systems ?queries ?(systems = Runner.all_systems) doc =
-  let queries =
-    match queries with Some qs -> qs | None -> List.init Queries.count (fun i -> i + 1)
-  in
+let diverge ~reference candidate =
+  if String.equal reference candidate then None
+  else
+    let n = min (String.length reference) (String.length candidate) in
+    let rec go i = if i < n && reference.[i] = candidate.[i] then go (i + 1) else i in
+    let position = go 0 in
+    Some
+      {
+        position;
+        reference_excerpt = excerpt reference position;
+        candidate_excerpt = excerpt candidate position;
+      }
+
+let reference_system systems = if List.mem Runner.D systems then Runner.D else List.hd systems
+
+let first_divergence = function
+  | [] -> None
+  | results ->
+      let reference = List.assq (reference_system (List.map fst results)) results in
+      List.find_map
+        (fun (sys, canon) -> Option.map (fun d -> (sys, d)) (diverge ~reference canon))
+        results
+
+let compare_systems ?(queries = List.init Queries.count (fun i -> i + 1))
+    ?(systems = Runner.all_systems) doc =
   let stores =
     List.map (fun sys -> (sys, (Runner.load ~source:(`Text doc) sys).Runner.store)) systems
   in
   List.map
     (fun query ->
-      let results =
-        List.map
-          (fun (sys, store) ->
-            let o = Runner.run store query in
-            (sys, o.Runner.items, Runner.canonical o))
-          stores
-      in
-      let digests = List.map (fun (sys, _, c) -> (sys, Digest.to_hex (Digest.string c))) results in
-      let items = List.map (fun (sys, n, _) -> (sys, n)) results in
-      let divergence =
-        match results with
-        | [] -> None
-        | (ref_sys, _, ref_canon) :: rest ->
-            List.find_map
-              (fun (sys, _, canon) ->
-                if String.equal canon ref_canon then None
-                else
-                  let position = first_difference ref_canon canon in
-                  Some
-                    {
-                      left = ref_sys;
-                      right = sys;
-                      position;
-                      left_excerpt = excerpt ref_canon position;
-                      right_excerpt = excerpt canon position;
-                    })
-              rest
-      in
-      { query; agreed = divergence = None; items; digests; divergence })
+      let outcomes = List.map (fun (sys, store) -> (sys, Runner.run store query)) stores in
+      let canons = List.map (fun (sys, o) -> (sys, Runner.canonical o)) outcomes in
+      let divergence = first_divergence canons in
+      {
+        query;
+        agreed = divergence = None;
+        items = List.map (fun (sys, o) -> (sys, o.Runner.items)) outcomes;
+        digests = List.map (fun (sys, c) -> (sys, Digest.to_hex (Digest.string c))) canons;
+        divergence;
+      })
     queries
 
 let pp_report fmt r =
@@ -72,11 +63,13 @@ let pp_report fmt r =
     r.digests;
   (match r.divergence with
   | None -> ()
-  | Some d ->
+  | Some (sys, d) ->
+      let ref_name = Runner.system_name (reference_system (List.map fst r.digests))
+      and name = Runner.system_name sys in
       Format.fprintf fmt "@\n     first divergence at byte %d between %s and %s:@\n" d.position
-        (Runner.system_name d.left) (Runner.system_name d.right);
-      Format.fprintf fmt "       %s: ...%s...@\n" (Runner.system_name d.left) d.left_excerpt;
-      Format.fprintf fmt "       %s: ...%s..." (Runner.system_name d.right) d.right_excerpt);
+        ref_name name;
+      Format.fprintf fmt "       %s: ...%s...@\n" ref_name d.reference_excerpt;
+      Format.fprintf fmt "       %s: ...%s..." name d.candidate_excerpt);
   Format.fprintf fmt "@\n"
 
 let all_agree reports = List.for_all (fun r -> r.agreed) reports

@@ -55,11 +55,32 @@ let counting () =
   in
   ({ w with open_tag }, fun () -> (!bytes, !elements))
 
+(* The tree a parser would build from the serialized form: consecutive
+   [text] calls become one text node (the data model has no adjacent
+   text siblings) and a whitespace-only run is dropped, as
+   [Sax.parse_dom] drops it, so [text()] steps see the same nodes
+   whichever way a store was loaded. *)
 let dom () =
   let stack : (Symbol.t * (string * string) list * Dom.node list ref) list ref = ref [] in
   let root = ref None in
-  let open_tag name attrs = stack := (name, attrs, ref []) :: !stack in
+  let pending = Buffer.create 256 in
+  let flush () =
+    if Buffer.length pending > 0 then begin
+      let s = Buffer.contents pending in
+      Buffer.clear pending;
+      match !stack with
+      | (_, _, children) :: _
+        when not (String.for_all (function ' ' | '\t' | '\n' | '\r' -> true | _ -> false) s) ->
+          children := Dom.text s :: !children
+      | _ -> ()
+    end
+  in
+  let open_tag name attrs =
+    flush ();
+    stack := (name, attrs, ref []) :: !stack
+  in
   let close_tag () =
+    flush ();
     match !stack with
     | [] -> invalid_arg "Sink.dom: close_tag without open element"
     | (name, attrs, children) :: rest ->
@@ -72,7 +93,7 @@ let dom () =
   let text s =
     match !stack with
     | [] -> invalid_arg "Sink.dom: text outside root element"
-    | (_, _, children) :: _ -> children := Dom.text s :: !children
+    | _ :: _ -> Buffer.add_string pending s
   in
   let finish () =
     match (!root, !stack) with

@@ -209,6 +209,26 @@ let test_verification_report_renders () =
      let rec has i = i + 5 <= String.length text && (String.sub text i 5 = "agree" || has (i+1)) in
      has 0)
 
+let test_diverge () =
+  let diverge = Xmark_core.Verification.diverge in
+  Alcotest.(check bool) "equal strings agree" true
+    (diverge ~reference:"<a>x</a>" "<a>x</a>" = None);
+  let check what ~reference candidate position excerpts =
+    match diverge ~reference candidate with
+    | None -> Alcotest.failf "%s: no divergence reported" what
+    | Some d ->
+        Alcotest.(check int) (what ^ " position") position d.Xmark_core.Verification.position;
+        Alcotest.(check (pair string string)) (what ^ " excerpts") excerpts
+          (d.reference_excerpt, d.candidate_excerpt)
+  in
+  (* excerpts start 20 bytes before the divergence *)
+  let pad = String.make 100 '.' and dots = String.make 17 '.' in
+  check "differ at byte 103" ~reference:(pad ^ "<a>x</a>") (pad ^ "<a>y</a>") 103
+    (dots ^ "<a>x</a>", dots ^ "<a>y</a>");
+  check "strict prefix" ~reference:"<a>x</a>" "<a>x</a><b/>" 8 ("<a>x</a>", "<a>x</a><b/>");
+  check "prefix, shorter candidate" ~reference:"<a>x</a>\n<a>y</a>" "<a>x</a>" 8
+    ("<a>x</a>\n<a>y</a>", "<a>x</a>")
+
 let test_csv_exports () =
   let t1 = Xmark_core.Experiments.table1 ~factor:0.001 () in
   let csv = Xmark_core.Experiments.table1_to_csv t1 in
@@ -249,6 +269,7 @@ let () =
           Alcotest.test_case "fulltext ablation" `Quick test_fulltext_rows;
           Alcotest.test_case "verification agrees" `Quick test_verification_agrees;
           Alcotest.test_case "verification report" `Quick test_verification_report_renders;
+          Alcotest.test_case "verification divergence" `Quick test_diverge;
           Alcotest.test_case "csv exports" `Quick test_csv_exports;
         ] );
     ]

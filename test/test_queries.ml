@@ -6,6 +6,7 @@
 
 module Runner = Xmark_core.Runner
 module Queries = Xmark_core.Queries
+module Verification = Xmark_core.Verification
 module Dom = Xmark_xml.Dom
 
 let factor = 0.004
@@ -28,48 +29,17 @@ let items sys q = (Runner.run (store sys) q).Runner.items
 
 (* --- cross-system equivalence ------------------------------------------- *)
 
+(* one run of the 7 systems x 20 queries, each answer compared with
+   System D's; a case per query reads its report *)
+let reports = lazy (Verification.compare_systems (Lazy.force doc))
+
+let check_agree reports =
+  List.iter
+    (fun r -> if not r.Verification.agreed then Alcotest.failf "%a" Verification.pp_report r)
+    reports
+
 let test_equivalence q () =
-  let reference = canonical Runner.D q in
-  List.iter
-    (fun sys ->
-      Alcotest.(check string)
-        (Printf.sprintf "Q%d on %s = Q%d on System D" q (Runner.system_name sys) q)
-        reference (canonical sys q))
-    Runner.all_systems
-
-(* --- conformance sweep: 7 systems x 20 queries --------------------------- *)
-
-(* Pairs expected to diverge from the System D reference.  An entry here
-   is a visible, auditable exception — never a silent skip — and the
-   sweep fails in the OTHER direction if an entry goes stale (the pair
-   now agrees), so the list cannot rot. *)
-let known_divergent : (Runner.system * int) list = []
-
-let test_conformance_sweep () =
-  let mismatches = ref [] and stale = ref [] in
-  List.iter
-    (fun q ->
-      let reference = canonical Runner.D q in
-      List.iter
-        (fun sys ->
-          let agrees = String.equal reference (canonical sys q) in
-          let expected_divergent =
-            List.exists (fun (s, q') -> s == sys && q' = q) known_divergent
-          in
-          match (agrees, expected_divergent) with
-          | false, false -> mismatches := (sys, q) :: !mismatches
-          | true, true -> stale := (sys, q) :: !stale
-          | false, true | true, false -> ())
-        Runner.all_systems)
-    (List.init 20 (fun i -> i + 1));
-  let show l =
-    String.concat ", "
-      (List.rev_map (fun (s, q) -> Printf.sprintf "%s/Q%d" (Runner.system_name s) q) l)
-  in
-  if !mismatches <> [] then
-    Alcotest.failf "unexpected divergence from System D: %s" (show !mismatches);
-  if !stale <> [] then
-    Alcotest.failf "stale known_divergent entries (these pairs now agree): %s" (show !stale)
+  check_agree [ List.find (fun r -> r.Verification.query = q) (Lazy.force reports) ]
 
 (* --- ground truths from direct DOM traversal ------------------------------ *)
 
@@ -232,18 +202,9 @@ let test_run_text_adhoc () =
 let test_second_seed_agreement () =
   (* determinism aside, agreement must hold for any generated instance *)
   let doc2 = Xmark_xmlgen.Generator.to_string ~seed:99L ~factor:0.002 () in
-  let stores =
-    List.map
-      (fun sys -> (Runner.load ~source:(`Text doc2) sys).Runner.store)
-      [ Runner.A; Runner.C; Runner.D; Runner.G ]
-  in
-  List.iter
-    (fun q ->
-      match List.map (fun st -> Runner.canonical (Runner.run st q)) stores with
-      | reference :: rest ->
-          List.iter (fun c -> Alcotest.(check string) (Printf.sprintf "Q%d" q) reference c) rest
-      | [] -> ())
-    [ 2; 8; 15; 20 ]
+  check_agree
+    (Verification.compare_systems ~systems:[ Runner.A; Runner.C; Runner.D; Runner.G ]
+       ~queries:[ 2; 8; 15; 20 ] doc2)
 
 let test_bulkload_dom_equivalent () =
   (* loading from a parsed tree must behave exactly like loading from text *)
@@ -276,8 +237,6 @@ let () =
   Alcotest.run "queries"
     [
       ("equivalence", equivalence);
-      ( "conformance",
-        [ Alcotest.test_case "7 systems x 20 queries sweep" `Slow test_conformance_sweep ] );
       ( "ground truth",
         [
           Alcotest.test_case "Q1 name" `Quick test_q1_name;

@@ -1,11 +1,12 @@
 (* Sharded execution: the partitioner slices deterministically, the
    manifest binds shard snapshots tamper-evidently, and scatter-gather
    over K shards answers all twenty queries byte-identically to the
-   single store — on every system, at K in {1, 2, 4}.  A worker killed
+   reference answer, single-store System D's.  A worker killed
    mid-scatter surfaces as a typed [Unavailable] with no partial answer
    leaked. *)
 
 module Runner = Xmark_core.Runner
+module Verification = Xmark_core.Verification
 module Partitioner = Xmark_shard.Partitioner
 module Manifest = Xmark_shard.Manifest
 module Scatter = Xmark_shard.Scatter
@@ -104,16 +105,6 @@ let release k =
   Hashtbl.remove partitions k;
   Gc.compact ()
 
-let singles = Hashtbl.create 8
-
-let single sys =
-  match Hashtbl.find_opt singles sys with
-  | Some s -> s
-  | None ->
-      let s = Runner.load ~source:(`Dom (Lazy.force dom)) sys in
-      Hashtbl.add singles sys s;
-      s
-
 (* K in-process legs, one shard-scoped server per shard of [sys] *)
 let scatter_for sys k =
   let p = partition k in
@@ -125,19 +116,26 @@ let scatter_for sys k =
               (Server.create ~shard:i (Runner.load ~source:(`Dom sh.Partitioner.root) sys)))
           p.Partitioner.shards))
 
-(* the single-store reference, computed once per (system, query) and
-   shared across the K cells — at factor 0.1 the reference pass is the
-   dominant cost for the slower backends *)
-let references = Hashtbl.create 64
+(* the reference answer (items, canonical) to each query: single-store
+   System D's, computed once; the store is garbage afterwards *)
+let references =
+  lazy
+    (let single = Runner.load ~source:(`Dom (Lazy.force dom)) Runner.D in
+     Array.init 20 (fun i ->
+         let outcome = Runner.run_session single (i + 1) in
+         (List.length outcome.Runner.result, Runner.canonical outcome)))
 
-let reference sys q =
-  match Hashtbl.find_opt references (sys, q) with
-  | Some r -> r
-  | None ->
-      let outcome = Runner.run_session (single sys) q in
-      let r = (List.length outcome.Runner.result, Runner.canonical outcome) in
-      Hashtbl.add references (sys, q) r;
-      r
+let reference q = (Lazy.force references).(q - 1)
+
+(* fail [label] with an excerpt of both answers around their first
+   differing byte *)
+let check_canonical label ~expected got =
+  match Verification.diverge ~reference:expected got with
+  | None -> ()
+  | Some d ->
+      Alcotest.failf "%s: canonical differs from System D at byte %d\n\
+                      expected: ...%s...\ngot:      ...%s..."
+        label d.Verification.position d.reference_excerpt d.candidate_excerpt
 
 (* --- partitioner invariants ---------------------------------------------- *)
 
@@ -361,13 +359,12 @@ let test_scatter_local k () =
   Alcotest.(check int) "shard count" k (Scatter.shards sc);
   for q = 1 to 20 do
     let label = Printf.sprintf "scatter K=%d Q%d" k q in
-    let items, expected = reference Runner.D q in
+    let items, expected = reference q in
     match Scatter.run sc q with
     | Error e -> Alcotest.failf "%s: %s" label (Server.error_to_string e)
     | Ok a ->
         Alcotest.(check int) (label ^ " items") items a.Scatter.items;
-        Alcotest.(check string) (label ^ " canonical") expected
-          a.Scatter.canonical;
+        check_canonical label ~expected a.Scatter.canonical;
         Alcotest.(check string) (label ^ " digest")
           (Digest.to_hex (Digest.string a.Scatter.canonical))
           a.Scatter.digest
@@ -441,28 +438,16 @@ let check_all_queries sys k =
     | Ok _ when sys = Runner.C && List.mem q join_queries ->
         Alcotest.failf "%s: expected Unsupported" label
     | Ok a ->
-        let items, expected = reference sys q in
+        let items, expected = reference q in
         Alcotest.(check int) (label ^ " items") items a.Scatter.items;
-        if not (String.equal expected a.Scatter.canonical) then
-          Alcotest.failf "%s: canonical mismatch\nexpected: %s\ngot:      %s" label
-            (String.sub expected 0 (min 400 (String.length expected)))
-            (String.sub a.Scatter.canonical 0 (min 400 (String.length a.Scatter.canonical)))
+        check_canonical label ~expected a.Scatter.canonical
   done
 
-(* K = 4 is a system's last digest case: its single store and
-   references are dead after it, so drop them (and compact) rather than
-   hold all seven factor-0.1 stores until exit. *)
 let last_system = List.nth Runner.all_systems (List.length Runner.all_systems - 1)
 
 let test_digests sys k () =
   check_all_queries sys k;
-  if k = 4 then begin
-    Hashtbl.remove singles sys;
-    for q = 1 to 20 do
-      Hashtbl.remove references (sys, q)
-    done
-  end;
-  if sys = last_system then release k else if k = 4 then Gc.compact ()
+  if sys = last_system then release k
 
 let () =
   Alcotest.run "shard"
@@ -497,11 +482,9 @@ let () =
           Alcotest.test_case "worker kill is typed, no partial leak" `Quick
             test_wire_scatter_kill;
         ] );
-      (* the factor-0.1 conformance matrix: sharded K in {2, 4} must be
-         byte-identical to the single store on every backend.  K=1 is
-         covered (also at 0.1) by the scatter group above — dropping it
-         here keeps the matrix from paying a third full pass per
-         system. *)
+      (* the factor-0.1 conformance matrix: sharded K in {2, 4} on every
+         backend must be byte-identical to single-store D.  K=1 is
+         covered (also at 0.1, on D) by the scatter group above. *)
       ( "digests",
         List.concat_map
           (fun sys ->
