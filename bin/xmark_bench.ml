@@ -80,6 +80,10 @@ let run exhibit factor no_vec stats_json systems queries system doc snapshot sav
   try
     match save with
     | Some out -> run_save system doc snapshot factor out
+    | None when doc <> None ->
+        (* the exhibits generate their own documents *)
+        prerr_endline "xmark_bench: --doc is read only with --save-snapshot";
+        2
     | None -> (
         match stats_json with
         | Some file -> (

@@ -325,31 +325,29 @@ let q10_gather parts q =
         (ints, personne))
       (op_items parts q 0)
   in
-  let seen = Hashtbl.create 64 in
+  (* one pass: members per category, newest first; a person whose
+     interests repeat a category joins it once *)
+  let members = Hashtbl.create 64 in
   let categories = ref [] in
   List.iter
-    (fun (ints, _) ->
+    (fun (ints, personne) ->
       List.iter
         (fun c ->
-          if not (Hashtbl.mem seen c) then begin
-            Hashtbl.add seen c ();
-            categories := c :: !categories
-          end)
+          match Hashtbl.find_opt members c with
+          | None ->
+              let r = ref [ personne ] in
+              Hashtbl.add members c r;
+              categories := (c, r) :: !categories
+          | Some r -> (
+              match !r with p :: _ when p == personne -> () | l -> r := personne :: l))
         ints)
     persons;
   canonical_of_list
-    (List.map
-       (fun cat ->
-         let members =
-           List.filter_map
-             (fun (ints, personne) ->
-               if List.mem cat ints then Some (Dom.deep_copy personne) else None)
-             persons
-         in
+    (List.rev_map
+       (fun (cat, r) ->
          Dom.element "categorie"
-           ~children:
-             (Dom.element "id" ~children:[ Dom.text cat ] :: members))
-       (List.rev !categories))
+           ~children:(Dom.element "id" ~children:[ Dom.text cat ] :: List.rev_map Dom.deep_copy !r))
+       !categories)
 
 (* Q11/Q12: per person, how many open-auction initial prices satisfy
    income > 5000 * initial.  Comparison semantics mirror Eval's general

@@ -186,7 +186,8 @@ let absorb dump =
 
 let counter_inventory =
   [
-    "nodes_scanned"; "elements_materialized"; "index_lookups"; "index_hits";
+    "nodes_scanned"; "elements_materialized"; "constructed_nodes_copied";
+    "index_lookups"; "index_hits";
     "join_tables_built"; "join_probes"; "batches_produced"; "batch_tuples";
     "hash_join_probes"; "vec_fallbacks"; "tag_array_cache_hits";
     "tag_array_cache_misses"; "sax_events"; "tuples_emitted";

@@ -53,8 +53,11 @@ let number_from n lo =
   number ~step:1 counter n;
   !counter
 
-let order_exn n =
-  if n.order < 0 then invalid_arg "Dom.index not run" else n.order
+let rec root n = match n.parent with Some p -> root p | None -> n
+
+let order_of n =
+  if n.order < 0 then ignore (index (root n));
+  n.order
 
 let name_sym n =
   match n.desc with

@@ -63,11 +63,12 @@ val number_from : node -> int -> int
     [lo] in document order, sets every [hi], and returns the next free
     key. *)
 
-val order_exn : node -> int
-(** The node's document-order key.
-    @raise Invalid_argument with message ["Dom.index not run"] if the
-    node has not been numbered — order-dependent operations must fail
-    loudly rather than silently misorder on the [-1] placeholder. *)
+val order_of : node -> int
+(** The node's document-order key.  A node without one is keyed first:
+    {!index} runs on the root of its tree, so order-dependent operations
+    never compare the [-1] placeholder.  Constructed query results are
+    keyed this way, on first ask; a keyed tree must not gain nodes
+    afterwards, since nothing renumbers it. *)
 
 val name : node -> string
 (** Element tag, or [""] for a text node. *)

@@ -388,6 +388,72 @@ module Make (S : Store_sig.S) = struct
         map_children inline_counted_lets (Ast.Flwor f)
     | _ -> map_children inline_counted_lets e
 
+  (* Content every node of which its own evaluation builds: [eval_ctor]
+     attaches such roots instead of copying them.  Variables, paths and
+     calls may yield nodes that something else still holds. *)
+  let rec fresh (e : Ast.expr) =
+    match e with
+    | Ast.Elem_ctor _ | Ast.Literal _ | Ast.Number _ -> true
+    | Ast.Sequence es -> List.for_all fresh es
+    | Ast.If (_, t, e') -> fresh t && fresh e'
+    | Ast.Flwor f -> fresh f.Ast.ret
+    | _ -> false
+
+  (* [xs] with [f] applied to the first member it rewrites *)
+  let rec rewrite_first f = function
+    | [] -> None
+    | x :: rest -> (
+        match f x with
+        | Some x' -> Some (x' :: rest)
+        | None -> Option.map (fun rest' -> x :: rest') (rewrite_first f rest))
+
+  (* [e] with [$v] replaced by [inner] where it is reached through
+     constructor content, sequence members and if branches only: no
+     binder, step or predicate lies between, so nothing can capture a
+     variable of [inner]. *)
+  let rec substitute_content v inner (e : Ast.expr) =
+    match e with
+    | Ast.Var x when String.equal x v -> Some inner
+    | Ast.Sequence es ->
+        Option.map (fun es -> Ast.Sequence es) (rewrite_first (substitute_content v inner) es)
+    | Ast.If (c, t, e') -> (
+        match substitute_content v inner t with
+        | Some t -> Some (Ast.If (c, t, e'))
+        | None -> Option.map (fun e' -> Ast.If (c, t, e')) (substitute_content v inner e'))
+    | Ast.Elem_ctor (tag, attrs, content) ->
+        Option.map
+          (fun content -> Ast.Elem_ctor (tag, attrs, content))
+          (rewrite_first
+             (function
+               | Ast.C_expr e' -> Option.map (fun e' -> Ast.C_expr e') (substitute_content v inner e')
+               | Ast.C_text _ -> None)
+             content)
+    | _ -> None
+
+  (* Rewrite:  ... let $v := E return R  where $v is not in where or
+     order by and occurs once in R, in content position, becomes
+     ... return R[E/$v].  E is then evaluated where its value is used
+     (XQuery 1.0 §2.3.4 leaves evaluation order open), and content built
+     by E is fresh there, so it is attached rather than copied. *)
+  let rec inline_content_lets (e : Ast.expr) : Ast.expr =
+    match map_children inline_content_lets e with
+    | Ast.Flwor f -> inline_last_let f
+    | e' -> e'
+
+  and inline_last_let f =
+    match List.rev f.Ast.clauses with
+    | Ast.Let (v, inner) :: earlier
+      when (not (List.exists (uses_var v) (Option.to_list f.Ast.where)))
+           && (not (List.exists (fun { Ast.key; _ } -> uses_var v key) f.Ast.order))
+           && List.length (List.filter (String.equal v) (expr_vars [] f.Ast.ret)) = 1 -> (
+        match substitute_content v inner f.Ast.ret with
+        | None -> Ast.Flwor f
+        | Some ret -> (
+            match { f with Ast.clauses = List.rev earlier; ret } with
+            | { Ast.clauses = []; where = None; order = []; ret } -> ret
+            | f -> inline_last_let f))
+    | _ -> Ast.Flwor f
+
   (* --- vectorized path plans -------------------------------------------- *)
 
   (* An absolute child/descendant path over name/star tests, with at most
@@ -472,16 +538,15 @@ module Make (S : Store_sig.S) = struct
           c.query
 
   let compile ?(optimize = false) store query =
+    let rewrite e =
+      inline_content_lets (if optimize then inline_counted_lets e else e)
+    in
     let query =
-      if optimize then
-        {
-          Ast.functions =
-            List.map
-              (fun f -> { f with Ast.body = inline_counted_lets f.Ast.body })
-              query.Ast.functions;
-          main = inline_counted_lets query.Ast.main;
-        }
-      else query
+      {
+        Ast.functions =
+          List.map (fun f -> { f with Ast.body = rewrite f.Ast.body }) query.Ast.functions;
+        main = rewrite query.Ast.main;
+      }
     in
     let funcs = Hashtbl.create 8 in
     List.iter
@@ -549,7 +614,7 @@ module Make (S : Store_sig.S) = struct
   let node_order c = function
     | D -> -1
     | N n -> S.order c.store n
-    | C d -> Dom.order_exn d
+    | C d -> Dom.order_of d  (* keyed on first ask, not when built *)
     | A a -> a.aowner_order
     | Num _ | Str _ | Bool _ -> err "document order of an atomic value"
 
@@ -860,7 +925,7 @@ module Make (S : Store_sig.S) = struct
     | D -> []
     | N n -> List.map (attr (S.order ctx.c.store n) None) (S.attributes ctx.c.store n)
     | C d ->
-        List.map (attr (Dom.order_exn d) (Some d))
+        List.map (attr (Dom.order_of d) (Some d))
           (match d.Dom.desc with Dom.Element e -> e.Dom.attrs | Dom.Text _ -> [])
     | A _ | Num _ | Str _ | Bool _ -> err "attribute step on a non-element item"
 
@@ -888,7 +953,9 @@ module Make (S : Store_sig.S) = struct
   let item_to_dom ctx = function
     | D -> store_to_dom ctx.c.store (S.root ctx.c.store)
     | N n -> store_to_dom ctx.c.store n
-    | C d -> Dom.deep_copy d
+    | C d ->
+        if Stats.enabled () then Stats.incr ~by:(Dom.size d) "constructed_nodes_copied";
+        Dom.deep_copy d
     | A a -> Dom.text a.avalue
     | atom -> Dom.text (string_value_of ctx atom)
 
@@ -1168,12 +1235,15 @@ module Make (S : Store_sig.S) = struct
             List.iter
               (fun k ->
                 match k with
-                | Str ks ->
-                    Hashtbl.replace table ks
-                      (i :: Option.value ~default:[] (Hashtbl.find_opt table ks))
+                | Str ks -> (
+                    match Hashtbl.find_opt table ks with
+                    | Some (j :: _) when j = i -> ()  (* a key the item repeats *)
+                    | bucket -> Hashtbl.replace table ks (i :: Option.value ~default:[] bucket))
                 | D | N _ | C _ | A _ | Num _ | Bool _ -> usable := false)
               keys)
           items;
+        (* buckets ascending, so a one-key probe takes its bucket as it is *)
+        Hashtbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) table;
         let t = if !usable then Built (items, table) else Unusable in
         Hashtbl.replace ctx.c.join_tables side t;
         t
@@ -1197,17 +1267,18 @@ module Make (S : Store_sig.S) = struct
               (* counted only for probes the table answers *)
               if Stats.enabled () then
                 Stats.incr ~by:(List.length probe_keys) "join_probes";
-              let matched = Hashtbl.create 16 in
-              List.iter
-                (function
-                  | Str ks ->
-                      List.iter
-                        (fun i -> Hashtbl.replace matched i ())
-                        (Option.value ~default:[] (Hashtbl.find_opt table ks))
-                  | D | N _ | C _ | A _ | Num _ | Bool _ -> ())
-                probe_keys;
+              let bucket ks = Option.value ~default:[] (Hashtbl.find_opt table ks) in
               let indices =
-                List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) matched [])
+                match probe_keys with
+                | [ Str ks ] -> bucket ks
+                | _ ->
+                    let matched = Hashtbl.create 16 in
+                    List.iter
+                      (function
+                        | Str ks -> List.iter (fun i -> Hashtbl.replace matched i ()) (bucket ks)
+                        | D | N _ | C _ | A _ | Num _ | Bool _ -> ())
+                      probe_keys;
+                    List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) matched [])
               in
               Some
                 (List.map
@@ -1418,7 +1489,7 @@ module Make (S : Store_sig.S) = struct
     let attrs = ref (List.map (fun (k, pieces) -> (k, attr_value pieces)) attr_specs) in
     let children = ref [] in
     let add_text s = children := Dom.text s :: !children in
-    let add_items v =
+    let add_items ~fresh v =
       (* Adjacent atomics merge into one text node, space separated. *)
       let flush_atoms atoms =
         if atoms <> [] then
@@ -1431,6 +1502,12 @@ module Make (S : Store_sig.S) = struct
             (* attribute nodes ahead of any content attach as attributes *)
             attrs := !attrs @ [ (a.aname, a.avalue) ];
             go [] rest
+        | C d :: rest when fresh && Option.is_none d.Dom.parent && d.Dom.order < 0 ->
+            (* built by this content and held by nothing else: adopt it
+               (a keyed root is copied, since keyed trees never grow) *)
+            flush_atoms atoms;
+            children := d :: !children;
+            go [] rest
         | (D | N _ | C _ | A _) as n :: rest ->
             flush_atoms atoms;
             children := item_to_dom ctx n :: !children;
@@ -1441,11 +1518,9 @@ module Make (S : Store_sig.S) = struct
     List.iter
       (function
         | Ast.C_text s -> add_text s
-        | Ast.C_expr e -> add_items (eval ctx e))
+        | Ast.C_expr e -> add_items ~fresh:(fresh e) (eval ctx e))
       content;
-    let node = Dom.element_sym ~attrs:!attrs ~children:(List.rev !children) tag in
-    ignore (Dom.index node);
-    C node
+    C (Dom.element_sym ~attrs:!attrs ~children:(List.rev !children) tag)
 
   (* --- function calls ---------------------------------------------------- *)
 
@@ -1663,6 +1738,8 @@ module Make (S : Store_sig.S) = struct
 
   let run c =
     List.iter (fun (_, p) -> List.iter (fun st -> st.source <- None) p.steps) c.flwor_plans;
+    (* listed even when nothing is copied, so --explain shows the 0 *)
+    Stats.incr ~by:0 "constructed_nodes_copied";
     eval { c; vars = []; citem = None; cpos = 0; csize = 0; memo = [] } c.query.Ast.main
 
   let eval_string ?optimize store src =
@@ -1680,7 +1757,11 @@ module Make (S : Store_sig.S) = struct
 
   let string_of_item store it = string_value_of (bare_ctx store) it
 
-  let result_to_dom store v = List.map (item_to_dom (bare_ctx store)) v
+  (* a parentless constructed root is the result as it is; anything else
+     is copied out of the tree or store holding it *)
+  let result_to_dom store v =
+    let ctx = bare_ctx store in
+    List.map (function C d when Option.is_none d.Dom.parent -> d | it -> item_to_dom ctx it) v
 
   let result_size v = List.length v
 end

@@ -64,6 +64,15 @@ module Make (S : Store_sig.S) : sig
       constructs a node or calls a user function (whose body reads its
       caller's variables).
 
+      A FLWOR's last [let $v := E] whose [$v] is absent from where and
+      order by and occurs once in return, reached only through
+      constructor content, sequence members and if branches, is
+      replaced by [E] at that occurrence.  A constructor attaches the
+      roots built by such content (or by any constructor, sequence, if
+      or FLWOR of constructors) instead of copying them; everything else
+      it puts into content is copied, counted by the
+      [constructed_nodes_copied] statistic.
+
       With [optimize] (default false), the theta joins get System D's
       hand-optimized plan ("For Systems D through F we had to experiment
       with several hand-optimized execution plans"): a [let] bound to a
@@ -90,7 +99,9 @@ module Make (S : Store_sig.S) : sig
 
   val result_to_dom : S.t -> value -> Xmark_xml.Dom.node list
   (** Materialize a result for serialization or cross-backend comparison:
-      stored nodes are copied out, atomics become text nodes. *)
+      stored nodes and constructed nodes inside another tree are copied
+      out, parentless constructed nodes are returned as they are, and
+      atomics become text nodes. *)
 
   val result_size : value -> int
 end

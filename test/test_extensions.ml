@@ -229,6 +229,34 @@ let test_diverge () =
   check "prefix, shorter candidate" ~reference:"<a>x</a>\n<a>y</a>" "<a>x</a>" 8
     ("<a>x</a>\n<a>y</a>", "<a>x</a>")
 
+(* Q10's shard gather groups persons by category; a person whose
+   interests repeat a category is listed once under it, as the
+   single-store evaluator lists them. *)
+let test_merge_q10_repeated_category () =
+  let module R = Xmark_core.Runner in
+  let src =
+    {|<site><people>
+  <person id="p0"><name>Ann</name>
+    <profile income="10"><interest category="c1"/><interest category="c2"/><interest category="c1"/></profile></person>
+  <person id="p1"><name>Bob</name><profile><interest category="c2"/></profile></person>
+  <person id="p2"><name>Cat</name></person>
+</people></site>|}
+  in
+  let session = R.load ~source:(`Text src) R.D in
+  let parts =
+    List.map
+      (function
+        | Xmark_core.Merge.Collect q ->
+            [ List.map Xmark_xml.Canonical.of_node (R.run_text_session session q).R.result ]
+        | Xmark_core.Merge.Run _ -> Alcotest.fail "Q10 fans out side-queries only")
+      (Xmark_core.Merge.ops 10)
+  in
+  let single = R.run_session session 10 in
+  Alcotest.(check (pair int string))
+    "gather = single store" (single.R.items, R.canonical single)
+    (Xmark_core.Merge.gather 10 parts);
+  Alcotest.(check int) "two categories" 2 single.R.items
+
 let test_csv_exports () =
   let t1 = Xmark_core.Experiments.table1 ~factor:0.001 () in
   let csv = Xmark_core.Experiments.table1_to_csv t1 in
@@ -270,6 +298,8 @@ let () =
           Alcotest.test_case "verification agrees" `Quick test_verification_agrees;
           Alcotest.test_case "verification report" `Quick test_verification_report_renders;
           Alcotest.test_case "verification divergence" `Quick test_diverge;
+          Alcotest.test_case "merge Q10, repeated category" `Quick
+            test_merge_q10_repeated_category;
           Alcotest.test_case "csv exports" `Quick test_csv_exports;
         ] );
     ]

@@ -110,16 +110,14 @@ let test_dom_orders_unique () =
   Alcotest.(check int) "all distinct" (List.length orders)
     (List.length (List.sort_uniq compare orders))
 
-let test_order_exn_unindexed () =
-  (* a hand-built, never-indexed tree must fail loudly on order access
-     instead of silently comparing the -1 placeholder *)
-  let n = Dom.element ~children:[ Dom.text "x" ] "a" in
-  (match Dom.order_exn n with
-  | exception Invalid_argument m ->
-      Alcotest.(check string) "message" "Dom.index not run" m
-  | _ -> Alcotest.fail "order_exn on an unindexed node must raise");
-  ignore (Dom.index n);
-  Alcotest.(check int) "after index: root order" 0 (Dom.order_exn n)
+let test_order_of_unindexed () =
+  (* a hand-built, never-indexed tree is keyed from its root on the first
+     order access instead of comparing the -1 placeholder *)
+  let x = Dom.text "x" in
+  let n = Dom.element ~children:[ Dom.element ~children:[ x ] "b" ] "a" in
+  Alcotest.(check int) "first ask, at a leaf" (2 * Dom.order_gap) (Dom.order_of x);
+  Alcotest.(check int) "root keyed with it" 0 n.Dom.order;
+  Alcotest.(check int) "root order" 0 (Dom.order_of n)
 
 let test_dom_parents () =
   let d = sample () in
@@ -450,7 +448,7 @@ let () =
         [
           Alcotest.test_case "navigation" `Quick test_dom_navigation;
           Alcotest.test_case "orders unique" `Quick test_dom_orders_unique;
-          Alcotest.test_case "order_exn unindexed" `Quick test_order_exn_unindexed;
+          Alcotest.test_case "order_of keys an unindexed tree" `Quick test_order_of_unindexed;
           Alcotest.test_case "parents" `Quick test_dom_parents;
           Alcotest.test_case "deep copy" `Quick test_deep_copy;
           Alcotest.test_case "find element" `Quick test_find_element;

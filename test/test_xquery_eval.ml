@@ -378,6 +378,43 @@ let test_cases_on cases system () =
 
 let eval_systems = Xmark_core.Runner.[ A; B; D; E; F; G ]
 
+(* --- constructed content: each node built once, copied only when shared --- *)
+
+(* A let used once in constructor content is inlined and its tree
+   adopted; a let used twice, or under a binder, is copied at each use,
+   so the bound tree itself never gains a parent.  Constructed trees are
+   keyed when an order is first asked of them. *)
+let constructed_cases =
+  [
+    ("let used twice", "let $x := <a><b/></a> return <c>{$x, $x}</c>",
+      "<c><a><b></b></a><a><b></b></a></c>");
+    ("let used under a nested for", "let $x := <a/> return <c>{for $i in (1, 2) return $x}</c>",
+      "<c><a></a><a></a></c>");
+    ("a tree per use under a nested for",
+      "let $x := <a/> return count((for $i in (1, 2) return <c>{$x}</c>)/a/..)", "2");
+    ("no parent after construction", "let $x := <a/> return (<c>{$x}</c>, count($x/..))",
+      "<c><a></a></c>\n0");
+    ("no parent after an inner let", "let $x := <a/> let $c := <c>{$x}</c> return count($x/..)",
+      "0");
+    ("<< inside a constructed tree",
+      {|let $e := <r>{<a x="1" y="2"/>, <b z="3"/>}</r> return ($e/a << $e/b, $e/b << $e/a)|},
+      "true\nfalse");
+    ("@* order inside a constructed tree",
+      {|let $e := <r>{<a x="1" y="2"/>, <b z="3"/>}</r> return $e/*/@*|}, "1\n2\n3");
+    ("order in a copied subtree",
+      {|let $e := <r><a x="1"/></r> let $f := <s>{$e/a, <b y="2"/>}</s>
+        return ($f/a << $f/b, $e/a << $e/a/.., $f/*/@*)|},
+      "true\nfalse\n1\n2");
+    ("nested constructors",
+      {|<a>{<b>{<c>x</c>, "y"}</b>, for $i in (1, 2) return <d n="{$i}">{$i}</d>}</a>|},
+      {|<a><b><c>x</c>y</b><d n="1">1</d><d n="2">2</d></a>|});
+    ("let inlined into an if branch", "let $x := <a/> return <c>{if (1 = 1) then $x else ()}</c>",
+      "<c><a></a></c>");
+    ("let inlined per tuple",
+      "for $p in /site/people/person let $n := <n>{$p/name/text()}</n> return <p>{$n}</p>",
+      "<p><n>Ann</n></p>\n<p><n>Bob</n></p>\n<p><n>Cat</n></p>");
+  ]
+
 (* --- loop invariants: evaluated once, never where they change an answer --- *)
 
 (* the count a counter reaches while [f] runs *)
@@ -456,6 +493,25 @@ let test_where_before_let () =
   check_canon "conjuncts split across clauses" "Bob/pin"
     {|for $p in /site/people/person, $i in /site/items/item
       where $i/@price < 5 and $p/age < 25 return concat($p/name, "/", $i/name)|}
+
+let copies f = counted "constructed_nodes_copied" f
+
+let test_copy_counter () =
+  Alcotest.(check int) "let used twice: both uses copied" 4
+    (copies (fun () -> ignore (canon "let $x := <a><b/></a> return <c>{$x, $x}</c>")));
+  Alcotest.(check int) "let used once: adopted" 0
+    (copies (fun () -> ignore (canon "let $x := <a><b/></a> return <c>{$x}</c>")));
+  let session =
+    Xmark_core.Runner.load
+      ~source:(`Text (Xmark_xmlgen.Generator.to_string ~factor:0.002 ()))
+      Xmark_core.Runner.D
+  in
+  List.iter
+    (fun q ->
+      Alcotest.(check int) (Printf.sprintf "Q%d on D" q) 0
+        (copies (fun () ->
+             ignore (Xmark_core.Runner.canonical (Xmark_core.Runner.run_session session q)))))
+    [ 9; 10 ]
 
 (* The benchmark's theta joins run as nested loops on A, B, E, F and G
    and as System D's sorted-key plan on D; C runs its own plans. *)
@@ -694,6 +750,13 @@ let () =
             Alcotest.test_case (Xmark_core.Runner.system_name sys) `Quick
               (test_cases_on spec_cases sys))
           eval_systems );
+      ( "constructed content",
+        List.map
+          (fun sys ->
+            Alcotest.test_case (Xmark_core.Runner.system_name sys) `Quick
+              (test_cases_on constructed_cases sys))
+          eval_systems
+        @ [ Alcotest.test_case "copy counter" `Quick test_copy_counter ] );
       ( "loop invariants",
         [
           Alcotest.test_case "evaluated once per loop" `Quick test_invariants_once;
