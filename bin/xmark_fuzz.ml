@@ -1,8 +1,7 @@
 (* xmark_fuzz — deterministic mutation fuzzing of the stack's trust
    boundaries: the Sax parser, the snapshot reader, the query service,
-   the wire frame decoder, the write-ahead-log recovery scan, the
-   vectorized-versus-scalar execution equivalence, and the shard
-   manifest decoder.
+   the wire frame decoder, the write-ahead-log recovery scan, and the
+   vectorized-versus-scalar execution equivalence.
 
    Every campaign is a pure function of --seed: the same seed, target
    and iteration count replays the same inputs byte-for-byte on any
@@ -21,11 +20,11 @@ module Check = Xmark_check
 module Property = Check.Property
 module Provenance = Xmark_core.Provenance
 
-type target = Sax | Snapshot | Service | Wire | Wal | Vec | Shard
+type target = Sax | Snapshot | Service | Wire | Wal | Vec
 
 let target_names =
   [ ("sax", Sax); ("snapshot", Snapshot); ("service", Service); ("wire", Wire);
-    ("wal", Wal); ("vec", Vec); ("shard", Shard) ]
+    ("wal", Wal); ("vec", Vec) ]
 
 let name_of_target t =
   fst (List.find (fun (_, t') -> t' = t) target_names)
@@ -37,7 +36,6 @@ let run_target ~corpus_dir ~seed ~iterations ~max_bytes = function
   | Wire -> Check.Fuzz_wire.run ?corpus_dir ~max_bytes ~seed ~iterations ()
   | Wal -> Check.Fuzz_wal.run ?corpus_dir ~max_bytes ~seed ~iterations ()
   | Vec -> Check.Fuzz_vec.run ?corpus_dir ~seed ~iterations ()
-  | Shard -> Check.Fuzz_shard.run ?corpus_dir ~max_bytes ~seed ~iterations ()
 
 let replay_corpus dir =
   if not (Sys.file_exists dir) then begin
@@ -148,7 +146,7 @@ let targets_arg =
         ~docv:"TARGET"
         ~doc:
           "Comma-separated fuzz targets: $(b,sax), $(b,snapshot), \
-           $(b,service), $(b,wire), $(b,wal), $(b,vec), $(b,shard) or \
+           $(b,service), $(b,wire), $(b,wal), $(b,vec) or \
            $(b,all) (default all).")
 
 let seed_arg =

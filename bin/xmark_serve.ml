@@ -388,12 +388,10 @@ let fleet_mode ~workers ~listen ~factor ~doc ~snapshot ~systems ~max_inflight
 
 (* --- sharded scatter-gather ------------------------------------------------ *)
 
-(* --shards K: partition, persist one snapshot per shard plus the
-   manifest, serve each shard from its own forked worker, and execute
-   Q1-Q20 scatter-gather — gating every answer against the single-store
-   digest.  The manifest round-trips through disk and is validated
-   against the shard files before any worker loads one, so the mode
-   exercises the whole deployment path, not just the merge logic. *)
+(* --shards K: partition, persist one snapshot per shard, serve each
+   shard from its own forked worker (which loads its snapshot), and
+   execute Q1-Q20 scatter-gather — gating every answer against the
+   single-store digest. *)
 let shards_mode ~k ~factor ~doc ~systems ~max_inflight ~queue_depth ~deadline
     ~plan_cache =
   let sys = pick_system systems in
@@ -417,39 +415,28 @@ let shards_mode ~k ~factor ~doc ~systems ~max_inflight ~queue_depth ~deadline
     try Unix.rmdir dir with Unix.Unix_error _ -> ()
   in
   Fun.protect ~finally:cleanup_dir (fun () ->
-      let files =
-        List.init k (fun i ->
-            let file = Printf.sprintf "shard-%d.xms" i in
-            let session =
-              Runner.load
-                ~source:
-                  (`Dom partition.Xmark_shard.Partitioner.shards.(i)
-                          .Xmark_shard.Partitioner.root)
-                sys
-            in
-            Runner.save_snapshot session (Filename.concat dir file);
-            file)
-      in
-      let manifest =
-        Xmark_shard.Manifest.of_partition ~files ~dir partition
-      in
-      Xmark_shard.Manifest.write ~dir manifest;
-      let manifest = Xmark_shard.Manifest.read ~dir in
-      Xmark_shard.Manifest.validate ~dir manifest;
       Printf.printf
         "shards: %d slice(s) of System %s under %s (partitioned in %.1f ms)\n%!"
         k (letter sys) dir part_span.Timing.wall_ms;
-      Array.iteri
-        (fun i e ->
-          Printf.printf "  shard %d: %s, %d bytes, entities %s\n%!" i
-            e.Xmark_shard.Manifest.file e.Xmark_shard.Manifest.bytes
-            (String.concat " "
-               (List.filter_map
-                  (fun (tag, (start, count)) ->
-                    if count = 0 then None
-                    else Some (Printf.sprintf "%s[%d,%d)" tag start (start + count)))
-                  e.Xmark_shard.Manifest.ranges)))
-        manifest.Xmark_shard.Manifest.shards;
+      let files =
+        Array.mapi
+          (fun i shard ->
+            let file = Filename.concat dir (Printf.sprintf "shard-%d.xms" i) in
+            Runner.save_snapshot
+              (Runner.load ~source:(`Dom shard.Xmark_shard.Partitioner.root) sys)
+              file;
+            Printf.printf "  shard %d: %s, %d bytes, entities %s\n%!" i
+              (Filename.basename file) (Unix.stat file).Unix.st_size
+              (String.concat " "
+                 (List.filter_map
+                    (fun (tag, (start, count)) ->
+                      if count = 0 then None
+                      else
+                        Some (Printf.sprintf "%s[%d,%d)" tag start (start + count)))
+                    shard.Xmark_shard.Partitioner.ranges));
+            file)
+          partition.Xmark_shard.Partitioner.shards
+      in
       (* the single-store reference this mode gates against; loaded
          before the fork so the comparison cannot drift *)
       let reference = Runner.load ~source:(`Dom root) sys in
@@ -459,13 +446,7 @@ let shards_mode ~k ~factor ~doc ~systems ~max_inflight ~queue_depth ~deadline
       in
       let make_server i =
         Server.create ~shard:i ~config
-          (Runner.load
-             ~source:
-               (`Snapshot
-                 (Filename.concat dir
-                    manifest.Xmark_shard.Manifest.shards.(i)
-                      .Xmark_shard.Manifest.file))
-             sys)
+          (Runner.load ~source:(`Snapshot files.(i)) sys)
       in
       let front =
         Wire.Addr.Unix_sock (Filename.concat dir "front.sock")

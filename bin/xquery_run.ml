@@ -133,6 +133,7 @@ let run_safe a b c d e f g h i j k l m n =
   | Xmark_persist.Corrupt m ->
       Printf.eprintf "snapshot error: %s\n" m;
       1
+  | Xmark_xquery.Eval.Runtime_error m
   | Invalid_argument m | Failure m | Sys_error m ->
       Printf.eprintf "error: %s\n" m;
       1

@@ -5,8 +5,7 @@
    sources — {!seed} writes the
    hand-constructed cases this subsystem ships with, and the property
    runner adds a shrunk reproducer whenever a campaign finds a
-   violation.  [.wal] files check the write-ahead-log recovery scan,
-   [.xmm] files the shard manifest decoder. *)
+   violation.  [.wal] files check the write-ahead-log recovery scan. *)
 
 module Sax = Xmark_xml.Sax
 module Snapshot = Xmark_persist.Snapshot
@@ -54,7 +53,6 @@ let replay path =
   | ".xq" -> replay_xq path
   | ".wfr" -> Fuzz_wire.contract (read_file path)
   | ".wal" -> Fuzz_wal.contract (read_file path)
-  | ".xmm" -> Fuzz_shard.contract (read_file path)
   | ext -> Error (Printf.sprintf "unknown corpus extension %S" ext)
 
 (* Replay every corpus file; each must satisfy its contract (typed
@@ -64,7 +62,7 @@ let replay_dir dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
   |> List.filter (fun f ->
          match Filename.extension f with
-         | ".xml" | ".xms" | ".xq" | ".wfr" | ".wal" | ".xmm" -> true
+         | ".xml" | ".xms" | ".xq" | ".wfr" | ".wal" -> true
          | _ -> false)
   |> List.map (fun f ->
          let path = Filename.concat dir f in
@@ -265,62 +263,6 @@ let wal_seed_cases () =
         ("wal-midlog-flip", midlog_flip); ("wal-lsn-gap", lsn_gap);
         ("wal-oversized-length", oversized) ])
 
-(* Shard manifest seed cases: a pristine two-shard map and one
-   corruption per decoder defense.  The range-overlap case is crafted
-   with a {e correct} trailing CRC — the real encoder refuses to
-   produce it — so only the decoder's partition check can object;
-   checksum-level damage is covered by the flipped-byte and truncation
-   cases. *)
-let shard_seed_cases () =
-  let module Manifest = Xmark_shard.Manifest in
-  let module Crc32 = Xmark_persist.Crc32 in
-  let entry i (start, count) =
-    { Manifest.file = Printf.sprintf "shard-%d.xms" i; bytes = 4096 + i;
-      crc = 0xC0DE + i; ranges = [ ("item", (start, count)) ] }
-  in
-  let base =
-    Manifest.encode
-      { Manifest.shards = [| entry 0 (0, 3); entry 1 (3, 3) |];
-        totals = [ ("item", 6) ] }
-  in
-  let bad_magic =
-    let b = Bytes.of_string base in
-    Bytes.set b 0 'Y';
-    Bytes.to_string b
-  in
-  (* cut inside the catalog union: mid-way through the tag string *)
-  let truncated = String.sub base 0 16 in
-  let flipped_payload =
-    (* flip one byte of a shard entry: the trailing CRC must object *)
-    let b = Bytes.of_string base in
-    let off = String.length base / 2 in
-    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x08));
-    Bytes.to_string b
-  in
-  let range_overlap =
-    (* rebuild the map with shard 1 starting inside shard 0's range,
-       then re-seal the trailing CRC over the tampered body: every
-       checksum passes, only the partition check can refuse *)
-    let with_overlap =
-      (* shard 1's start field is the last 8 bytes before the CRC:
-         (start, count) of its single range *)
-      let b = Bytes.of_string base in
-      let start_off = Bytes.length b - 12 in
-      Bytes.set_int32_be b start_off 2l;
-      Bytes.to_string b
-    in
-    let body = String.sub with_overlap 0 (String.length with_overlap - 4) in
-    let b = Buffer.create (String.length with_overlap) in
-    Buffer.add_string b body;
-    Buffer.add_int32_be b
-      (Int32.of_int (Crc32.digest_sub body 4 (String.length body - 4)));
-    Buffer.contents b
-  in
-  [ ("manifest-pristine", base); ("manifest-bad-magic", bad_magic);
-    ("manifest-truncated", truncated);
-    ("manifest-flipped-byte", flipped_payload);
-    ("manifest-range-overlap", range_overlap) ]
-
 let seed dir =
   Property.mkdir_p dir;
   let put name ext bytes =
@@ -333,4 +275,3 @@ let seed dir =
   @ List.map (fun (n, s) -> put n "xms" s) (snapshot_seed_cases ())
   @ List.map (fun (n, s) -> put n "wfr" s) (wire_seed_cases ())
   @ List.map (fun (n, s) -> put n "wal" s) (wal_seed_cases ())
-  @ List.map (fun (n, s) -> put n "xmm" s) (shard_seed_cases ())

@@ -255,10 +255,20 @@ let connect =
            with $(b,--listen) or $(b,--fleet) at $(docv); no store is loaded \
            locally.")
 
+(* A process count; 0 means the mode is off, and a negative one is
+   refused rather than read as 0. *)
+let count_conv =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 0 -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "expected a count >= 0, got %S" s))),
+      Format.pp_print_int )
+
 let fleet =
   Arg.(
     value
-    & opt int 0
+    & opt count_conv 0
     & info [ "fleet" ] ~docv:"N"
         ~doc:
           "Fork $(docv) worker processes, each restoring the same read-only \
@@ -269,7 +279,7 @@ let fleet =
 let shards =
   Arg.(
     value
-    & opt int 0
+    & opt count_conv 0
     & info [ "shards" ] ~docv:"K"
         ~doc:
           "Partition the document into $(docv) shards along entity boundaries \

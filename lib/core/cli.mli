@@ -89,12 +89,12 @@ val connect : string option Cmdliner.Term.t
 
 val fleet : int Cmdliner.Term.t
 (** [--fleet N]; fork N snapshot-restoring workers behind a front door,
-    0 (default) disables fleet mode. *)
+    0 (default) disables fleet mode; a negative N is a usage error. *)
 
 val shards : int Cmdliner.Term.t
 (** [--shards K]; partition into K shards and run the queries
     scatter-gather over a per-shard worker fleet, 0 (default) disables
-    sharding. *)
+    sharding; a negative K is a usage error. *)
 
 (* --- wiring --------------------------------------------------------------- *)
 

@@ -1,6 +1,7 @@
 module Dom = Xmark_xml.Dom
 module Canonical = Xmark_xml.Canonical
 module Sax = Xmark_xml.Sax
+module Value = Xmark_relational.Value
 
 type op = Run of int | Collect of string
 
@@ -86,11 +87,6 @@ let class_name = function
 
 (* --- evaluator-exact scalar semantics ------------------------------------ *)
 
-(* Number rendering, identical to Eval's [string_value_of (Num f)]. *)
-let fmt_num f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
-
 (* Untyped-to-number coercion, identical to Eval's [to_number_opt]. *)
 let to_number s = float_of_string_opt (String.trim s)
 
@@ -137,7 +133,7 @@ let sum_gather parts q =
               (Printf.sprintf "Merge.gather: Q%d non-numeric partial %S" q item))
       0.0 (op_items parts q 0)
   in
-  (1, fmt_num total)
+  (1, Value.number_to_string total)
 
 (* Q20: sum the four group cardinalities of the per-shard <result> trees. *)
 let q20_fields = [ "preferred"; "standard"; "challenge"; "na" ]
@@ -168,7 +164,8 @@ let sum_parts_gather parts q =
       ~children:
         (List.mapi
            (fun i field ->
-             Dom.element field ~children:[ Dom.text (fmt_num totals.(i)) ])
+             Dom.element field
+               ~children:[ Dom.text (Value.number_to_string totals.(i)) ])
            q20_fields)
   in
   (1, Canonical.of_node node)
@@ -243,7 +240,7 @@ let q8_gather parts q =
          let n = Option.value ~default:0 (Hashtbl.find_opt bought id) in
          Dom.element "item"
            ~attrs:[ ("person", name) ]
-           ~children:[ Dom.text (fmt_num (float_of_int n)) ])
+           ~children:[ Dom.text (Value.number_to_string (float_of_int n)) ])
        persons)
 
 (* Q9: per person in global order, one <item> child per auction they
@@ -378,14 +375,16 @@ let q11_q12_gather parts q =
             Some
               (Dom.element "items"
                  ~attrs:[ ("name", name) ]
-                 ~children:[ Dom.text (fmt_num (float_of_int n)) ])
+                 ~children:[ Dom.text (Value.number_to_string (float_of_int n)) ])
         | _ -> (
             match income with
             | Some i when i > 50000.0 ->
                 Some
                   (Dom.element "items"
                      ~attrs:[ ("person", raw_income) ]
-                     ~children:[ Dom.text (fmt_num (float_of_int (count_for i))) ])
+                     ~children:
+                       [ Dom.text
+                           (Value.number_to_string (float_of_int (count_for i))) ])
             | _ -> None))
       persons
   in

@@ -324,11 +324,6 @@ let prepare store n =
         p_repr = PlC plan }
   | SA _ | SB _ | SM _ | SG _ -> prepare_text store (Queries.text n)
 
-let try_prepare_text store qtext =
-  match prepare_text store qtext with
-  | p -> Ok p
-  | exception Unsupported msg -> Error (`Unsupported msg)
-
 (* [snap] anchors the outcome's counter deltas: run/run_text pass the
    snapshot taken before their compile phase, so a one-shot outcome
    keeps covering compile + execute, while [execute_prepared] covers

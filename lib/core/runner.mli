@@ -121,10 +121,6 @@ val prepare_text : store -> string -> prepared
 (** Compile arbitrary XQuery text.
     @raise Unsupported on System C, which executes prepared plans only. *)
 
-val try_prepare_text :
-  store -> string -> (prepared, [ `Unsupported of string ]) result
-(** Like {!prepare_text} with the unsupported case as a value. *)
-
 val plan_description : prepared -> string list
 (** Physical plan for [--explain]: per vectorized path, one line per
     step with the cost-model pick and its inputs (estimated input/output

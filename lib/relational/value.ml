@@ -23,11 +23,16 @@ let hash = function
   | Num f -> Hashtbl.hash f
   | Str s -> Hashtbl.hash s
 
+let number_to_string f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_nan f then "NaN"
+  else if f = Float.infinity then "INF"
+  else if f = Float.neg_infinity then "-INF"
+  else Printf.sprintf "%.12g" f
+
 let to_string = function
   | Int i -> string_of_int i
-  | Num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-      else Printf.sprintf "%.12g" f
+  | Num f -> number_to_string f
   | Str s -> s
   | Null -> ""
 

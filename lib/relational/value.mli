@@ -13,6 +13,12 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
+val number_to_string : float -> string
+(** The string form of a double, shared by every system: an integral
+    value below 1e15 in magnitude prints as an integer, NaN and the
+    infinities as [NaN], [INF] and [-INF] (XQuery 1.0 F&O's cast of
+    xs:double to xs:string), anything else as [%.12g]. *)
+
 val to_string : t -> string
 
 val to_float : t -> float

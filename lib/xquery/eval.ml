@@ -3,6 +3,8 @@ module Symbol = Xmark_xml.Symbol
 module Stats = Xmark_stats
 module Vec = Xmark_relational.Vec_ops
 
+exception Runtime_error of string
+
 module Make (S : Store_sig.S) = struct
   type attr = {
     aowner_order : int;
@@ -22,7 +24,7 @@ module Make (S : Store_sig.S) = struct
 
   type value = item list
 
-  exception Runtime_error of string
+  exception Runtime_error = Runtime_error
 
   let err fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
@@ -696,9 +698,7 @@ module Make (S : Store_sig.S) = struct
     | A a -> a.avalue
     | Str s -> s
     | Bool b -> if b then "true" else "false"
-    | Num f ->
-        if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-        else Printf.sprintf "%.12g" f
+    | Num f -> Xmark_relational.Value.number_to_string f
 
   let atomize_item ctx = function
     | (D | N _ | C _ | A _) as n -> Str (string_value_of ctx n)
@@ -1762,6 +1762,4 @@ module Make (S : Store_sig.S) = struct
   let result_to_dom store v =
     let ctx = bare_ctx store in
     List.map (function C d when Option.is_none d.Dom.parent -> d | it -> item_to_dom ctx it) v
-
-  let result_size v = List.length v
 end

@@ -13,6 +13,11 @@
     otherwise, so architectural differences between backends surface as
     performance differences, not result differences. *)
 
+exception Runtime_error of string
+(** A dynamic error (e.g. a path step applied to an atomic, or
+    [exactly-one] of an empty sequence).  One exception for every
+    backend, so a caller can match it without naming an instance. *)
+
 module Make (S : Store_sig.S) : sig
   type attr = {
     aowner_order : int;
@@ -34,6 +39,7 @@ module Make (S : Store_sig.S) : sig
   type value = item list
 
   exception Runtime_error of string
+  (** The same exception as {!Xmark_xquery.Eval.Runtime_error}. *)
 
   type compiled
 
@@ -102,6 +108,4 @@ module Make (S : Store_sig.S) : sig
       stored nodes and constructed nodes inside another tree are copied
       out, parentless constructed nodes are returned as they are, and
       atomics become text nodes. *)
-
-  val result_size : value -> int
 end

@@ -3,7 +3,8 @@
    the prepared-plan cache lends plans exclusively with LRU eviction,
    the workload driver replays deterministically, and — the differential
    contract — the server's answers for the full 7x20 matrix under four
-   concurrent clients match the single-shot Runner digests. *)
+   concurrent clients match the single-shot Runner digests.  The
+   xmark_serve process counts (--fleet, --shards) refuse negatives. *)
 
 module Runner = Xmark_core.Runner
 module Server = Xmark_service.Server
@@ -225,6 +226,28 @@ let differential sys =
 let differential_case sys =
   Alcotest.test_case (Runner.system_name sys) `Quick (fun () -> differential sys)
 
+(* Parse one command line against a count flag in process: the exit
+   code cmdliner would give, with the flag's value as the success code.
+   Nothing is forked or served. *)
+let count_exit term argv =
+  let cmd = Cmdliner.(Cmd.v (Cmd.info "t") Term.(const Fun.id $ term)) in
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  Cmdliner.Cmd.eval' ~argv:(Array.of_list ("t" :: argv)) ~err:null cmd
+
+let test_counts_refuse_negatives () =
+  List.iter
+    (fun (flag, term) ->
+      let check argv want =
+        Alcotest.(check int) (String.concat " " argv) want (count_exit term argv)
+      in
+      check [] 0;
+      check [ flag ^ "=0" ] 0;
+      check [ flag ^ "=3" ] 3;
+      check [ flag ^ "=-1" ] Cmdliner.Cmd.Exit.cli_error;
+      check [ flag ^ "=-2" ] Cmdliner.Cmd.Exit.cli_error;
+      check [ flag ^ "=x" ] Cmdliner.Cmd.Exit.cli_error)
+    [ ("--fleet", Xmark_core.Cli.fleet); ("--shards", Xmark_core.Cli.shards) ]
+
 let () =
   Alcotest.run "service"
     [
@@ -249,4 +272,9 @@ let () =
           Alcotest.test_case "deterministic replay" `Quick test_workload_deterministic;
         ] );
       ("differential 7x20, 4 clients", List.map differential_case Runner.all_systems);
+      ( "cli",
+        [
+          Alcotest.test_case "--fleet and --shards refuse negatives" `Quick
+            test_counts_refuse_negatives;
+        ] );
     ]

@@ -1,14 +1,12 @@
-(* Sharded execution: the partitioner slices deterministically, the
-   manifest binds shard snapshots tamper-evidently, and scatter-gather
-   over K shards answers all twenty queries byte-identically to the
-   reference answer, single-store System D's.  A worker killed
-   mid-scatter surfaces as a typed [Unavailable] with no partial answer
-   leaked. *)
+(* Sharded execution: the partitioner slices deterministically, and
+   scatter-gather over K shards answers all twenty queries
+   byte-identically to the reference answer, single-store System D's.
+   A worker killed mid-scatter surfaces as a typed [Unavailable] with
+   no partial answer leaked. *)
 
 module Runner = Xmark_core.Runner
 module Verification = Xmark_core.Verification
 module Partitioner = Xmark_shard.Partitioner
-module Manifest = Xmark_shard.Manifest
 module Scatter = Xmark_shard.Scatter
 module Server = Xmark_service.Server
 module P = Xmark_service.Protocol
@@ -29,11 +27,6 @@ let tmpdir =
         (try Sys.readdir d with Sys_error _ -> [||]);
       try Unix.rmdir d with Unix.Unix_error _ -> ());
   d
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
 
 (* --- wire scatter scenario: runs at module init (fork before threads) ---- *)
 
@@ -205,153 +198,6 @@ let test_partition_rejects () =
     (Invalid_argument "Partitioner.partition: root must be a <site> element")
     (fun () -> ignore (Partitioner.partition ~k:2 (Dom.element "people")))
 
-(* --- manifest: tamper-evident shard map ----------------------------------- *)
-
-let expect_corrupt what f =
-  match f () with
-  | _ -> Alcotest.failf "%s: expected Corrupt" what
-  | exception Xmark_persist.Corrupt _ -> ()
-
-(* a manifest fixture on disk: 3 "snapshot" files (the manifest binds
-   bytes, it never parses them) + the manifest of a real partition *)
-let manifest_fixture =
-  lazy
-    (let dir = Filename.concat tmpdir "manifest.d" in
-     Unix.mkdir dir 0o700;
-     at_exit (fun () ->
-         Array.iter
-           (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-           (try Sys.readdir dir with Sys_error _ -> [||]);
-         try Unix.rmdir dir with Unix.Unix_error _ -> ());
-     let files =
-       List.init 3 (fun i ->
-           let f = Printf.sprintf "shard-%d.xms" i in
-           write_file (Filename.concat dir f)
-             (String.concat "-" (List.init (50 + i) string_of_int));
-           f)
-     in
-     let m = Manifest.of_partition ~files ~dir (partition 3) in
-     (dir, m))
-
-let test_manifest_roundtrip () =
-  let dir, m = Lazy.force manifest_fixture in
-  Manifest.write ~dir m;
-  let m' = Manifest.read ~dir in
-  Alcotest.(check string) "read = written"
-    (Manifest.encode m) (Manifest.encode m');
-  Alcotest.(check int) "3 shards" 3 (Array.length m'.Manifest.shards);
-  Alcotest.(check (list (pair string int))) "catalog union survives"
-    (partition 3).Partitioner.totals m'.Manifest.totals;
-  (* decode . encode is the identity on the wire form *)
-  Alcotest.(check string) "re-encode identical"
-    (Manifest.encode m)
-    (Manifest.encode (Manifest.decode (Manifest.encode m)))
-
-let test_manifest_bit_flips () =
-  let _, m = Lazy.force manifest_fixture in
-  let good = Manifest.encode m in
-  (* every single-byte flip — magic, version, counts, payload, trailing
-     CRC — must surface as the typed Corrupt, never decode or leak *)
-  String.iteri
-    (fun i _ ->
-      let b = Bytes.of_string good in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-      expect_corrupt (Printf.sprintf "flip at byte %d" i) (fun () ->
-          Manifest.decode (Bytes.to_string b)))
-    good;
-  expect_corrupt "truncated" (fun () ->
-      Manifest.decode (String.sub good 0 (String.length good - 1)));
-  expect_corrupt "empty" (fun () -> Manifest.decode "")
-
-(* hand-craft manifest bytes with a correct trailing CRC, bypassing the
-   encoder's own partition check — the decoder must still reject maps
-   that are not partitions *)
-let craft ~k ~totals ~entries =
-  let b = Buffer.create 256 in
-  let u32 v = Buffer.add_int32_be b (Int32.of_int v) in
-  let str s =
-    u32 (String.length s);
-    Buffer.add_string b s
-  in
-  Buffer.add_string b "XMF\x01";
-  Buffer.add_char b '\x01';
-  u32 k;
-  u32 (List.length totals);
-  List.iter
-    (fun (tag, n) ->
-      str tag;
-      u32 n)
-    totals;
-  List.iter
-    (fun (file, bytes_, crc, ranges) ->
-      str file;
-      u32 bytes_;
-      u32 crc;
-      List.iter
-        (fun (s, c) ->
-          u32 s;
-          u32 c)
-        ranges)
-    entries;
-  let body = Buffer.contents b in
-  u32 (Xmark_persist.Crc32.digest_sub body 4 (String.length body - 4));
-  Buffer.contents b
-
-let test_manifest_rejects_non_partitions () =
-  let entry ranges i = (Printf.sprintf "s%d.xms" i, 10, 0, ranges) in
-  (* control: the crafted form matches the real wire format *)
-  let good =
-    craft ~k:2 ~totals:[ ("item", 4) ]
-      ~entries:[ entry [ (0, 2) ] 0; entry [ (2, 2) ] 1 ]
-  in
-  let m = Manifest.decode good in
-  Alcotest.(check int) "control decodes" 2 (Array.length m.Manifest.shards);
-  expect_corrupt "overlapping ranges" (fun () ->
-      Manifest.decode
-        (craft ~k:2 ~totals:[ ("item", 4) ]
-           ~entries:[ entry [ (0, 3) ] 0; entry [ (2, 2) ] 1 ]));
-  expect_corrupt "gap in coverage" (fun () ->
-      Manifest.decode
-        (craft ~k:2 ~totals:[ ("item", 4) ]
-           ~entries:[ entry [ (0, 1) ] 0; entry [ (2, 2) ] 1 ]));
-  expect_corrupt "short coverage" (fun () ->
-      Manifest.decode
-        (craft ~k:2 ~totals:[ ("item", 5) ]
-           ~entries:[ entry [ (0, 2) ] 0; entry [ (2, 2) ] 1 ]));
-  (* the encoder refuses to produce what the decoder would reject *)
-  let bad =
-    { Manifest.shards =
-        [| { Manifest.file = "a.xms"; bytes = 1; crc = 0;
-             ranges = [ ("item", (0, 3)) ] };
-           { Manifest.file = "b.xms"; bytes = 1; crc = 0;
-             ranges = [ ("item", (2, 2)) ] } |];
-      totals = [ ("item", 4) ] }
-  in
-  match Manifest.encode bad with
-  | _ -> Alcotest.fail "encode accepted an overlapping map"
-  | exception Invalid_argument _ -> ()
-
-let test_manifest_validate_binds_files () =
-  let dir, m = Lazy.force manifest_fixture in
-  Manifest.validate ~dir m;
-  let victim = Filename.concat dir m.Manifest.shards.(1).Manifest.file in
-  let original = In_channel.with_open_bin victim In_channel.input_all in
-  Fun.protect
-    ~finally:(fun () -> write_file victim original)
-    (fun () ->
-      (* same length, one byte changed: CRC mismatch *)
-      let b = Bytes.of_string original in
-      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
-      write_file victim (Bytes.to_string b);
-      expect_corrupt "flipped snapshot byte" (fun () ->
-          Manifest.validate ~dir m);
-      (* wrong length *)
-      write_file victim (original ^ "x");
-      expect_corrupt "grown snapshot" (fun () -> Manifest.validate ~dir m);
-      (* missing file *)
-      Sys.remove victim;
-      expect_corrupt "missing snapshot" (fun () -> Manifest.validate ~dir m))
-
 (* --- scatter over in-process legs ----------------------------------------- *)
 
 let test_scatter_local k () =
@@ -458,17 +304,6 @@ let () =
           Alcotest.test_case "node union exact" `Quick test_partition_union;
           Alcotest.test_case "deterministic" `Quick test_partition_deterministic;
           Alcotest.test_case "typed rejections" `Quick test_partition_rejects;
-        ] );
-      ( "manifest",
-        [
-          Alcotest.test_case "round-trip on disk" `Quick
-            test_manifest_roundtrip;
-          Alcotest.test_case "every bit flip is Corrupt" `Quick
-            test_manifest_bit_flips;
-          Alcotest.test_case "non-partitions rejected" `Quick
-            test_manifest_rejects_non_partitions;
-          Alcotest.test_case "validate binds the snapshot files" `Quick
-            test_manifest_validate_binds_files;
         ] );
       ( "scatter",
         [

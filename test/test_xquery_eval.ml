@@ -366,6 +366,11 @@ let spec_cases =
     ("round up", "round(2.5)", "3");
     ("round down", "round(2.4999)", "2");
     ("round a negative half", "round(-2.5)", "-2");
+    (* F&O 17.1.2: a NaN or infinite xs:double casts to NaN, INF, -INF *)
+    ("zero by zero", "0 div 0", "NaN");
+    ("positive by zero", "1 div 0", "INF");
+    ("negative by zero", "-1 div 0", "-INF");
+    ("number of a non-numeric string", {|string(number("abc"))|}, "NaN");
   ]
 
 let test_cases_on cases system () =
@@ -377,6 +382,18 @@ let test_cases_on cases system () =
     cases
 
 let eval_systems = Xmark_core.Runner.[ A; B; D; E; F; G ]
+
+(* Every backend instance of the evaluator raises the one exception, so
+   a caller outside the functor can match it. *)
+let test_one_runtime_error () =
+  let module Runner = Xmark_core.Runner in
+  List.iter
+    (fun sys ->
+      let session = Runner.load ~source:(`Text order_src) sys in
+      match Runner.run_text session.Runner.store "exactly-one(())" with
+      | _ -> Alcotest.failf "%s: exactly-one(()) answered" (Runner.system_name sys)
+      | exception Xmark_xquery.Eval.Runtime_error _ -> ())
+    Runner.[ A; B; D; G ]
 
 (* --- constructed content: each node built once, copied only when shared --- *)
 
@@ -734,6 +751,8 @@ let () =
           Alcotest.test_case "id" `Quick test_id_function;
           Alcotest.test_case "user functions" `Quick test_user_functions;
           Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
+          Alcotest.test_case "one runtime error on every backend" `Quick
+            test_one_runtime_error;
           Alcotest.test_case "sequences" `Quick test_sequences;
           Alcotest.test_case "corner semantics" `Quick test_corner_semantics;
           Alcotest.test_case "node-order comparison arity" `Quick test_before_errors_on_sequences;
