@@ -139,6 +139,19 @@ let run ?corpus_dir ?(count = 200) ?(max_shrink_evals = 4000) ~seed t =
   in
   loop 0
 
+(* The test-suite entry point: a counterexample raises [Failure] naming
+   the property, both seeds (so [gen_case] rebuilds the case alone) and
+   the shrunk input.  The trailing unit makes [check ~seed t] a test. *)
+let check ?count ~seed t () =
+  match (run ?count ~seed t).r_failure with
+  | None -> ()
+  | Some f ->
+      failwith
+        (Printf.sprintf
+           "property \"%s\" failed: campaign seed %Ld, case seed %Ld (iteration %d, %d \
+            shrink steps)\n%s\ninput: %s"
+           f.f_name f.f_seed f.f_case_seed f.f_iteration f.f_shrink_steps f.f_message f.f_input)
+
 let pp_report fmt r =
   Format.fprintf fmt "%s: %d iterations, seed %Ld@." r.r_name r.r_iterations
     r.r_seed;

@@ -85,11 +85,6 @@ let class_name = function
   | n when n >= 1 && n <= 20 -> "concat"
   | n -> invalid_arg (Printf.sprintf "Merge.class_name: no query Q%d" n)
 
-(* --- evaluator-exact scalar semantics ------------------------------------ *)
-
-(* Untyped-to-number coercion, identical to Eval's [to_number_opt]. *)
-let to_number s = float_of_string_opt (String.trim s)
-
 (* --- carrier parsing ----------------------------------------------------- *)
 
 (* Canonical forms are well-formed XML and canonicalization is idempotent
@@ -126,7 +121,7 @@ let sum_gather parts q =
   let total =
     List.fold_left
       (fun acc item ->
-        match to_number item with
+        match Value.number_of_string item with
         | Some f -> acc +. f
         | None ->
             invalid_arg
@@ -148,7 +143,7 @@ let sum_parts_gather parts q =
           match Dom.find_element root field with
           | Some el -> (
               let v = Dom.string_value el in
-              match to_number v with
+              match Value.number_of_string v with
               | Some f -> totals.(i) <- totals.(i) +. f
               | None ->
                   invalid_arg
@@ -355,12 +350,12 @@ let q11_q12_gather parts q =
     List.map
       (fun s ->
         let n = parse_item s in
-        (attr_exn n "n", to_number (attr_exn n "m"), attr_exn n "m"))
+        (attr_exn n "n", Value.number_of_string (attr_exn n "m"), attr_exn n "m"))
       (op_items parts q 0)
   in
   let initials =
     List.filter_map
-      (fun s -> to_number (attr_exn (parse_item s) "x"))
+      (fun s -> Value.number_of_string (attr_exn (parse_item s) "x"))
       (op_items parts q 1)
   in
   let count_for income =

@@ -567,5 +567,3 @@ let describe p =
           l ^ " [disabled: --no-vec, plain fold]"
         else l)
       lines
-
-let supported = List.init 20 (fun i -> i + 1)

@@ -32,6 +32,3 @@ val describe : plan -> string list
 (** Physical description of the plan, one line per operator group:
     which queries run the blocked batch scan (and at what block size)
     versus the scalar hand plan. *)
-
-val supported : int list
-(** Query numbers with prepared plans (all twenty). *)

@@ -19,10 +19,19 @@ val number_to_string : float -> string
     infinities as [NaN], [INF] and [-INF] (XQuery 1.0 F&O's cast of
     xs:double to xs:string), anything else as [%.12g]. *)
 
+val number_of_string : string -> float option
+(** The cast of a string to xs:double: after trimming surrounding
+    whitespace, XML Schema 1.0's double lexical space — an optional
+    sign, digits with an optional [.], an optional exponent ([1],
+    [-1.5], [1.], [.5e1]), or exactly [INF], [-INF] or [NaN].  Anything
+    else, OCaml's own forms such as [1_000], [0x10] and [inf] included,
+    is [None]. *)
+
 val to_string : t -> string
 
 val to_float : t -> float
-(** Runtime cast; [Str] parses, failures and [Null] give [nan]. *)
+(** Runtime cast; [Str] parses as {!number_of_string}, failures and
+    [Null] give [nan]. *)
 
 val of_float : float -> t
 

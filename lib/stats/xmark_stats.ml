@@ -255,16 +255,3 @@ let json_of_counters counters =
   ^ String.concat ", "
       (List.map (fun (name, v) -> Printf.sprintf "\"%s\": %d" (json_escape name) v) fields)
   ^ "}"
-
-let to_json () =
-  let scope_obj (scope, cs) =
-    Printf.sprintf "\"%s\": %s"
-      (json_escape (if scope = "" then "(top)" else scope))
-      ("{"
-      ^ String.concat ", "
-          (List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" (json_escape n) v) cs)
-      ^ "}")
-  in
-  Printf.sprintf "{\"scopes\": {%s}, \"totals\": %s}"
-    (String.concat ", " (List.map scope_obj (to_assoc ())))
-    (json_of_counters (totals ()))

@@ -116,6 +116,3 @@ val pp : Format.formatter -> unit -> unit
 val json_of_counters : (string * int) list -> string
 (** A JSON object [{"counter": value, ...}]; counters from
     {!counter_inventory} are always present. *)
-
-val to_json : unit -> string
-(** Full dump: [{"scopes": {scope: {counter: value}}, "totals": {...}}]. *)

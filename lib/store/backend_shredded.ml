@@ -298,8 +298,6 @@ let of_image (img : Xmark_persist.Snapshot.b_image) =
 
 let catalog t = t.cat
 
-let element_tags t = t.element_tags
-
 let root _ = 0
 
 let kind t n = if Symbol.equal t.dir_tag.(n) Symbol.empty then `Text else `Element

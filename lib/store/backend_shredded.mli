@@ -18,10 +18,6 @@ val load_dom : Xmark_xml.Dom.node -> t
 
 val catalog : t -> Xmark_relational.Catalog.t
 
-val element_tags : t -> string list
-(** Every element tag with a relation of its own, in first-encounter
-    (document) order. *)
-
 val to_image : t -> Xmark_persist.Snapshot.b_image
 (** The store's relational image for snapshotting: everything a restore
     cannot rebuild without re-parsing (the tag, text and attribute

@@ -56,13 +56,3 @@ let merge roots =
   site
 
 let load_files files = merge (List.map Xmark_xml.Sax.parse_file files)
-
-let load_dir dir =
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".xml")
-    |> List.sort compare
-    |> List.map (Filename.concat dir)
-  in
-  if files = [] then invalid_arg (Printf.sprintf "Collection.load_dir: no .xml files in %s" dir);
-  load_files files

@@ -23,6 +23,3 @@ val merge : Xmark_xml.Dom.node list -> Xmark_xml.Dom.node
 
 val load_files : string list -> Xmark_xml.Dom.node
 (** Parse and merge split files. *)
-
-val load_dir : string -> Xmark_xml.Dom.node
-(** Merge every [*.xml] file in a directory, in name order. *)

@@ -163,8 +163,6 @@ let open_ ?expect_base path =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e
 
-let base_binding t = (t.base_len, t.base_crc)
-
 let append t op =
   if t.closed then invalid_arg "Log.append: closed log";
   let lsn = t.lsn + 1 in

@@ -51,9 +51,6 @@ val scan_string : string -> recovery
     recovery inspection and fuzzing; never touches the filesystem.
     @raise Xmark_persist.Page_io.Corrupt as {!open_}. *)
 
-val base_binding : t -> int * int
-(** [(base_len, base_crc)] recorded in the header. *)
-
 val append : t -> Record.op -> int
 (** Frame, write and fsync one record; returns its assigned LSN
     ([last_lsn + 1]).  Raises [Invalid_argument] — before touching the

@@ -69,11 +69,6 @@ let to_string ?indent n =
   to_buffer ?indent buf n;
   Buffer.contents buf
 
-let to_channel ?indent oc n =
-  let buf = Buffer.create 65536 in
-  to_buffer ?indent buf n;
-  Buffer.output_buffer oc buf
-
 let fragment_to_string nodes =
   let buf = Buffer.create 1024 in
   List.iteri

@@ -22,8 +22,6 @@ val to_buffer : ?indent:bool -> Buffer.t -> Dom.node -> unit
 
 val to_string : ?indent:bool -> Dom.node -> string
 
-val to_channel : ?indent:bool -> out_channel -> Dom.node -> unit
-
 val fragment_to_string : Dom.node list -> string
 (** Serialize a node sequence without a surrounding element — the shape of
     an XQuery result. *)

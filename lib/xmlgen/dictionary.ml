@@ -166,5 +166,3 @@ let street_word d g = Prng.pick g d.street_words
 let province d g = Prng.pick g d.provinces
 
 let country d g = country_pool.(Prng.Zipf.sample d.country_zipf g)
-
-let countries _ = Array.copy country_pool

@@ -42,6 +42,3 @@ val province : t -> Xmark_prng.Prng.t -> string
 
 val country : t -> Xmark_prng.Prng.t -> string
 (** Weighted draw: "United States" dominates, as in the original tool. *)
-
-val countries : t -> string array
-(** All country values, most likely first. *)

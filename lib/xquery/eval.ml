@@ -708,7 +708,7 @@ module Make (S : Store_sig.S) = struct
 
   let to_number_opt = function
     | Num f -> Some f
-    | Str s -> float_of_string_opt (String.trim s)
+    | Str s -> Xmark_relational.Value.number_of_string s
     | Bool b -> Some (if b then 1.0 else 0.0)
     | D | N _ | C _ | A _ -> None
 

@@ -141,19 +141,27 @@ let read_string_literal p =
       Buffer.contents buf
   | _ -> error p "expected a string literal"
 
+(* IntegerLiteral, DecimalLiteral (".5", "1.", "1.5") and DoubleLiteral
+   (either with an exponent: "1e20", "1.5E-3") *)
 let read_number p =
   skip p;
   let start = p.pos in
-  while (not (eof p)) && is_digit (peek p |> Option.get) do
-    p.pos <- p.pos + 1
-  done;
-  if peek p = Some '.' && (match peek_at p 1 with Some c -> is_digit c | None -> false) then begin
+  let digit_at k = match peek_at p k with Some c -> is_digit c | None -> false in
+  let digits () = while digit_at 0 do p.pos <- p.pos + 1 done in
+  digits ();
+  if peek p = Some '.' && (p.pos > start || digit_at 1) then begin
     p.pos <- p.pos + 1;
-    while (not (eof p)) && is_digit (peek p |> Option.get) do
-      p.pos <- p.pos + 1
-    done
+    digits ()
   end;
   if p.pos = start then error p "expected a number";
+  (match peek p with
+  | Some ('e' | 'E') ->
+      let sign = match peek_at p 1 with Some ('+' | '-') -> 1 | _ -> 0 in
+      if digit_at (1 + sign) then begin
+        p.pos <- p.pos + 1 + sign;
+        digits ()
+      end
+  | _ -> ());
   float_of_string (String.sub p.src start (p.pos - start))
 
 let read_var p =

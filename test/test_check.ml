@@ -1,7 +1,8 @@
 (* The property-testing subsystem itself: generator determinism, the
    round-trip and scan-count properties over generated documents, the
    shrinking machinery (a planted bug must shrink to its minimal
-   reproducer and replay byte-identically from the printed seeds),
+   reproducer, replay byte-identically from the printed seeds, and
+   fail [Property.check] with those seeds in its message),
    bounded campaigns of all three fuzz targets, and replay of the
    checked-in regression corpus. *)
 
@@ -115,6 +116,16 @@ let test_shrink_to_minimal () =
             f.Property.f_iteration f2.Property.f_iteration;
           Alcotest.(check bool) "same case seed" true
             (Int64.equal f.Property.f_case_seed f2.Property.f_case_seed));
+      (* the test-suite entry point raises with both seeds and the input *)
+      (match Property.check ~count:500 ~seed:5L planted () with
+      | () -> Alcotest.fail "check passed the planted bug"
+      | exception Failure msg ->
+          Alcotest.(check string) "message names both seeds and the input"
+            (Printf.sprintf
+               "property \"planted\" failed: campaign seed 5, case seed %Ld (iteration %d, %d \
+                shrink steps)\nplanted bug\ninput: <>"
+               f.Property.f_case_seed f.Property.f_iteration f.Property.f_shrink_steps)
+            msg);
       (* the case seed alone rebuilds a failing input, no campaign *)
       let replayed = Property.gen_case planted f.Property.f_case_seed in
       (match planted.Property.prop replayed with

@@ -22,6 +22,13 @@ let test_value_compare () =
 let test_value_cast () =
   Alcotest.(check (float 0.001)) "str cast" 42.5 (Value.to_float (v_s " 42.5 "));
   Alcotest.(check bool) "bad cast is nan" true (Float.is_nan (Value.to_float (v_s "oops")));
+  (* XML Schema's xs:double lexical space, not OCaml's *)
+  List.iter
+    (fun s -> Alcotest.(check bool) (s ^ " is nan") true (Float.is_nan (Value.to_float (v_s s))))
+    [ "1_000"; "0x10"; "inf" ];
+  List.iter
+    (fun (s, f) -> Alcotest.(check (float 0.0)) s f (Value.to_float (v_s s)))
+    [ ("INF", Float.infinity); (" 12 ", 12.0); ("1.", 1.0); (".5e1", 5.0) ];
   Alcotest.(check bool) "null is nan" true (Float.is_nan (Value.to_float Value.Null))
 
 let test_value_to_string () =
@@ -142,12 +149,17 @@ let test_btree_build_and_iter () =
   let keys = List.map fst collected in
   Alcotest.(check bool) "key order" true (List.sort compare keys = keys)
 
-let arb_entries =
-  QCheck.(list_of_size Gen.(int_range 0 300) (int_bound 60))
+module Prng = Xmark_prng.Prng
+module Property = Xmark_check.Property
+
+let property name gen to_bytes prop =
+  { Property.name; gen; shrink = (fun _ -> Seq.empty);
+    prop = (fun x -> if prop x then Ok "pass" else Error "violated"); to_bytes; ext = "txt" }
 
 let prop_btree_matches_model =
-  QCheck.Test.make ~name:"btree lookup/range agree with a sorted-list model" ~count:150
-    arb_entries
+  property "btree lookup/range agree with a sorted-list model"
+    (fun g -> List.init (Prng.int_in g 0 300) (fun _ -> Prng.int g 61))
+    (fun keys -> String.concat " " (List.map string_of_int keys))
     (fun keys ->
       let t = Btree.create ~branching:4 () in
       List.iteri (fun i k -> Btree.insert t (v_i k) i) keys;
@@ -169,8 +181,7 @@ let prop_btree_matches_model =
       && Btree.cardinality t = List.length keys)
 
 let prop_btree_depth_logarithmic =
-  QCheck.Test.make ~name:"btree depth stays logarithmic" ~count:20
-    QCheck.(int_range 100 2000)
+  property "btree depth stays logarithmic" (fun g -> Prng.int_in g 100 2000) string_of_int
     (fun n ->
       let t = Btree.create ~branching:8 () in
       for i = 0 to n - 1 do
@@ -178,6 +189,8 @@ let prop_btree_depth_logarithmic =
       done;
       (* height of an 8-way tree over n distinct keys *)
       Btree.depth t <= 2 + int_of_float (log (float_of_int n) /. log 4.0))
+
+let case ~count ~seed p = Alcotest.test_case p.Property.name `Slow (Property.check ~count ~seed p)
 
 let () =
   Alcotest.run "relational"
@@ -207,6 +220,6 @@ let () =
           Alcotest.test_case "build and iter" `Quick test_btree_build_and_iter;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_btree_matches_model; prop_btree_depth_logarithmic ] );
+        [ case ~count:150 ~seed:41L prop_btree_matches_model;
+          case ~count:20 ~seed:42L prop_btree_depth_logarithmic ] );
     ]

@@ -78,9 +78,9 @@ let test_unknown_name_fallback () =
 let test_concurrent_interning () =
   let names = List.init 128 (Printf.sprintf "test-symbol-dyn-%d") in
   let shuffle seed l =
-    let st = Random.State.make [| seed |] in
-    List.map (fun x -> (Random.State.bits st, x)) l
-    |> List.sort compare |> List.map snd
+    let a = Array.of_list l in
+    Xmark_prng.Prng.shuffle (Xmark_prng.Prng.create ~seed:(Int64.of_int seed) ()) a;
+    Array.to_list a
   in
   let domains =
     List.init 4 (fun d ->

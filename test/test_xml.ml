@@ -3,6 +3,8 @@ module Sax = Xmark_xml.Sax
 module Symbol = Xmark_xml.Symbol
 module Serialize = Xmark_xml.Serialize
 module Canonical = Xmark_xml.Canonical
+module Prng = Xmark_prng.Prng
+module Check = Xmark_check
 
 let parse = Sax.parse_string
 
@@ -186,44 +188,37 @@ let test_canonical_empty_forms () =
 
 (* --- property: random trees round-trip ----------------------------------- *)
 
-let gen_tree =
-  let open QCheck.Gen in
-  let tag = oneofl [ "a"; "b"; "c"; "item"; "name" ] in
-  let text_str = map (String.concat "") (list_size (int_range 1 4) (oneofl [ "x"; "&"; "<"; " "; "z\"" ])) in
-  fix
-    (fun self depth ->
-      if depth = 0 then map Dom.text text_str
-      else
-        frequency
-          [
-            (2, map Dom.text (map (fun s -> "t" ^ s) text_str));
-            ( 3,
-              map3
-                (fun name attrs children -> Dom.element ~attrs ~children name)
-                tag
-                (oneofl [ []; [ ("k", "v") ]; [ ("k", "a&b\"c") ] ])
-                (list_size (int_range 0 3) (self (depth - 1))) );
-          ])
-    3
+let text_str g =
+  let piece _ = Prng.pick g [| "x"; "&"; "<"; " "; "z\"" |] in
+  String.concat "" (List.init (Prng.int_in g 1 4) piece)
 
-let arb_root =
-  QCheck.make
-    ~print:(fun n -> Serialize.to_string n)
-    QCheck.Gen.(
-      map2
-        (fun name children -> Dom.element ~children name)
-        (oneofl [ "root"; "site" ])
-        (list_size (int_range 0 4) gen_tree))
+(* depth 0 is text; otherwise text two times in five, else an element *)
+let rec gen_tree g depth =
+  if depth = 0 then Dom.text (text_str g)
+  else if Prng.int g 5 < 2 then Dom.text ("t" ^ text_str g)
+  else
+    let name = Prng.pick g [| "a"; "b"; "c"; "item"; "name" |] in
+    let attrs = Prng.pick g [| []; [ ("k", "v") ]; [ ("k", "a&b\"c") ] |] in
+    let children = List.init (Prng.int_in g 0 3) (fun _ -> gen_tree g (depth - 1)) in
+    Dom.element ~attrs ~children name
+
+let gen_root g =
+  let name = Prng.pick g [| "root"; "site" |] in
+  Dom.element ~children:(List.init (Prng.int_in g 0 4) (fun _ -> gen_tree g 3)) name
+
+let tree_property name prop =
+  { Check.Property.name; gen = gen_root; shrink = Check.Shrink.dom;
+    prop = (fun root -> if prop root then Ok "pass" else Error "violated");
+    to_bytes = Serialize.to_string; ext = "xml" }
 
 let prop_serialize_parse_roundtrip =
-  QCheck.Test.make ~name:"serialize ∘ parse = id (modulo ws text nodes)" ~count:200 arb_root
-    (fun root ->
+  tree_property "serialize ∘ parse = id (modulo ws text nodes)" (fun root ->
       let out = Serialize.to_string root in
       let back = Sax.parse_string ~keep_ws:true out in
       Canonical.equal [ root ] [ back ])
 
 let prop_canonical_stable =
-  QCheck.Test.make ~name:"canonicalization is idempotent" ~count:200 arb_root (fun root ->
+  tree_property "canonicalization is idempotent" (fun root ->
       let c1 = Canonical.of_node root in
       let back = Sax.parse_string ~keep_ws:true c1 in
       String.equal c1 (Canonical.of_node back))
@@ -282,9 +277,6 @@ module Canonical_oracle = struct
   let of_nodes nodes = String.concat "\n" (List.map of_node nodes)
 end
 
-module Prng = Xmark_prng.Prng
-module Check = Xmark_check
-
 (* Hostile text: blanks of every kind, at both ends and in runs,
    whitespace-only and empty nodes, and every character escaping touches. *)
 let hostile_text g =
@@ -326,35 +318,30 @@ let canonical_one_pass =
     ext = "xml";
   }
 
-let test_canonical_one_pass () =
-  let report = Check.Property.run ~count:2000 ~seed:25L canonical_one_pass in
-  match report.Check.Property.r_failure with
-  | None -> ()
-  | Some f ->
-      Alcotest.failf "%s after %d cases: %s" f.Check.Property.f_message
-        f.Check.Property.f_iteration f.Check.Property.f_repr
-
 (* --- fuzzing: the parser must terminate with a value or Parse_error ---------- *)
 
-let arb_bytes =
-  QCheck.make ~print:String.escaped
-    QCheck.Gen.(map (String.concat "") (list_size (int_range 0 40)
-      (oneofl [ "<"; ">"; "/"; "a"; "b"; "="; "\""; "'"; "&"; "amp;"; " "; "<!"; "<?";
-                "]]>"; "<![CDATA["; "-->"; "<!--"; "x"; "1"; ";"; "#" ])))
+let tokens =
+  [| "<"; ">"; "/"; "a"; "b"; "="; "\""; "'"; "&"; "amp;"; " "; "<!"; "<?"; "]]>"; "<![CDATA[";
+     "-->"; "<!--"; "x"; "1"; ";"; "#" |]
+
+(* Any outcome but a value or Parse_error is a violation: the runner
+   turns a leaked exception into a counterexample. *)
+let bytes_property name prop =
+  { Check.Property.name;
+    gen = (fun g -> String.concat "" (List.init (Prng.int_in g 0 40) (fun _ -> Prng.pick g tokens)));
+    shrink = Check.Shrink.string; prop; to_bytes = Fun.id; ext = "txt" }
 
 let prop_parser_total =
-  QCheck.Test.make ~name:"parser terminates with value or Parse_error on any input" ~count:500
-    arb_bytes
-    (fun s ->
+  bytes_property "parser terminates with value or Parse_error on any input" (fun s ->
       match Sax.parse_string s with
-      | _ -> true
-      | exception Sax.Parse_error _ -> true)
+      | _ -> Ok "accepted"
+      | exception Sax.Parse_error _ -> Ok "rejected")
 
 let prop_scan_total =
-  QCheck.Test.make ~name:"scan terminates on any input" ~count:500 arb_bytes (fun s ->
+  bytes_property "scan terminates on any input" (fun s ->
       match Sax.scan (Sax.of_string s) with
-      | n -> n >= 0
-      | exception Sax.Parse_error _ -> true)
+      | n -> if n >= 0 then Ok "accepted" else Error "negative event count"
+      | exception Sax.Parse_error _ -> Ok "rejected")
 
 (* --- hostile input: typed rejection with pinned positions -------------------- *)
 
@@ -411,15 +398,25 @@ let test_empty_file () =
           Alcotest.failf "empty file rejected at %d:%d, expected 1:1" line col)
 
 let prop_truncation_fails_cleanly =
-  QCheck.Test.make ~name:"truncated well-formed documents raise Parse_error" ~count:100
-    QCheck.(pair arb_root (float_range 0.0 1.0))
-    (fun (root, frac) ->
-      let full = Serialize.to_string root in
-      let cut = int_of_float (frac *. float_of_int (String.length full)) in
-      let truncated = String.sub full 0 (min cut (String.length full - 1)) in
-      match Sax.parse_string truncated with
-      | _ -> true  (* a prefix can coincidentally be well-formed only if whole *)
-      | exception Sax.Parse_error _ -> true)
+  { Check.Property.name = "truncated well-formed documents raise Parse_error";
+    gen =
+      (fun g ->
+        let root = gen_root g in
+        (root, Prng.float g 1.0));
+    shrink = (fun _ -> Seq.empty);
+    prop =
+      (fun (root, frac) ->
+        let full = Serialize.to_string root in
+        let cut = int_of_float (frac *. float_of_int (String.length full)) in
+        let truncated = String.sub full 0 (min cut (String.length full - 1)) in
+        match Sax.parse_string truncated with
+        | _ -> Ok "accepted"  (* a prefix can coincidentally be well-formed only if whole *)
+        | exception Sax.Parse_error _ -> Ok "rejected");
+    to_bytes = (fun (root, frac) -> Printf.sprintf "%s cut at %g" (Serialize.to_string root) frac);
+    ext = "txt" }
+
+let case ~count ~seed p =
+  Alcotest.test_case p.Check.Property.name `Slow (Check.Property.check ~count ~seed p)
 
 let () =
   Alcotest.run "xml"
@@ -467,10 +464,13 @@ let () =
           Alcotest.test_case "whitespace" `Quick test_canonical_ws;
           Alcotest.test_case "distinguishes" `Quick test_canonical_distinguishes;
           Alcotest.test_case "empty forms" `Quick test_canonical_empty_forms;
-          Alcotest.test_case "one pass = three-copy oracle" `Quick test_canonical_one_pass;
+          Alcotest.test_case "one pass = three-copy oracle" `Quick
+            (Check.Property.check ~count:2000 ~seed:25L canonical_one_pass);
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_serialize_parse_roundtrip; prop_canonical_stable; prop_parser_total;
-            prop_scan_total; prop_truncation_fails_cleanly ] );
+        [ case ~count:200 ~seed:51L prop_serialize_parse_roundtrip;
+          case ~count:200 ~seed:52L prop_canonical_stable;
+          case ~count:500 ~seed:53L prop_parser_total;
+          case ~count:500 ~seed:54L prop_scan_total;
+          case ~count:100 ~seed:55L prop_truncation_fails_cleanly ] );
     ]

@@ -371,6 +371,14 @@ let spec_cases =
     ("positive by zero", "1 div 0", "INF");
     ("negative by zero", "-1 div 0", "-INF");
     ("number of a non-numeric string", {|string(number("abc"))|}, "NaN");
+    (* XML Schema's xs:double lexical space, not OCaml's *)
+    ("underscore is not a digit", {|number("1_000")|}, "NaN");
+    ("no hexadecimal", {|number("0x10")|}, "NaN");
+    ("infinity is spelled INF", {|number("inf")|}, "NaN");
+    ("INF", {|number("INF")|}, "INF");
+    ("surrounding whitespace", {|number(" 12 ")|}, "12");
+    ("trailing point", {|number("1.")|}, "1");
+    ("leading point and exponent", {|number(".5e1")|}, "5");
   ]
 
 let test_cases_on cases system () =

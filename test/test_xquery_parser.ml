@@ -19,6 +19,10 @@ let rejects src =
 let test_literals () =
   Alcotest.(check bool) "number" true (parse "42" = Ast.Number 42.0);
   Alcotest.(check bool) "decimal" true (parse "0.02" = Ast.Number 0.02);
+  Alcotest.(check bool) "decimal, trailing point" true (parse "1." = Ast.Number 1.0);
+  Alcotest.(check bool) "double" true (parse "1.5e3" = Ast.Number 1500.0);
+  Alcotest.(check bool) "double, no point" true (parse "1e20" = Ast.Number 1e20);
+  Alcotest.(check bool) "double, signed exponent" true (parse ".5E-1" = Ast.Number 0.05);
   Alcotest.(check bool) "string dq" true (parse "\"hi\"" = Ast.Literal "hi");
   Alcotest.(check bool) "string sq" true (parse "'hi'" = Ast.Literal "hi");
   Alcotest.(check bool) "escaped quote" true (parse "\"a\"\"b\"" = Ast.Literal "a\"b");
